@@ -34,7 +34,6 @@ from .critical import (
 from .diagram import DiagramError, canonical_form, parse_diagram, print_diagram
 from .rewrite import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     Polygraph,
     RewriteError,
     normalize,
@@ -75,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--interp", metavar="FILE")
         p.add_argument("--bound", type=int)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--max-extra-width", type=int, default=2)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="FILE")
         p.add_argument("--assume-terminating", action="store_true")
@@ -135,7 +133,7 @@ def _cmd_normalize(args):
 
 def _cmd_critical(args):
     p = _load_polygraph(args)
-    branchings = enumerate_critical_branchings(p, args.max_extra_width)
+    branchings = enumerate_critical_branchings(p)
     report = {
         "count": len(branchings),
         "branchings": [b.to_dict() for b in branchings],
@@ -148,7 +146,7 @@ def _cmd_critical(args):
 
 def _cmd_confluence(args):
     p = _load_polygraph(args)
-    branchings = enumerate_critical_branchings(p, args.max_extra_width)
+    branchings = enumerate_critical_branchings(p)
     results = [check_local_confluence(p, b, args.budget) for b in branchings]
     failures = [r for r in results if isinstance(r, FailureReport)]
     report = {
@@ -190,7 +188,6 @@ def _cmd_homotopy_basis(args):
             p,
             interp=interp,
             assume_terminating=args.assume_terminating,
-            max_extra_width=args.max_extra_width,
             budget=args.budget,
         )
     except ConfluenceError as exc:
@@ -229,7 +226,6 @@ def _cmd_info(args):
         p,
         interp=interp,
         expected_proper=expected,
-        max_extra_width=args.max_extra_width,
         budget=args.budget,
     )
     lines = [
@@ -292,7 +288,6 @@ def main(argv=None) -> int:
         TerminationError,
         CriticalError,
         CoherenceError,
-        BudgetExceededError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

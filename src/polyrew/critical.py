@@ -180,57 +180,35 @@ class Branching:
         }
 
 
-def _is_minimal(u: Diagram, union: frozenset[int]) -> bool:
-    """Whether no nontrivial context factors out of the branching source.
+def _outer_whiskers(d: Diagram) -> tuple[bool, bool]:
+    """Whether an identity wire passes untouched along the left or right
+    edge of ``d``.
 
-    ``u`` must be canonical and ``union`` the combined occurrence set of the
-    two matches (canonical slice indices).  The source is non-minimal when
-    some exchange representative starts or ends with a slice outside the
-    union (a peelable top/bottom context) or when an outer identity wire
-    passes untouched (a peelable whisker).  Slices outside the union that
-    are stuck *between* the redexes are allowed: they make the branching
-    entangled, not reducible.
+    Read off ``d``'s own slice order: an exchange never moves a slice onto
+    an edge wire, so the answer is the same for every representative of
+    the exchange class.
     """
-    for slices, ids in exchange_closure_with_ids(u):
-        if ids and (ids[0] not in union or ids[-1] not in union):
-            return False
-        if u.input_width >= 1 and slices:
-            if all(s.offset >= 1 for s in slices):
-                return False
-            w = u.input_width
-            right_whisker = True
-            for s in slices:
-                if s.offset + s.gen.arity > w - 1:
-                    right_whisker = False
-                    break
-                w += s.gen.coarity - s.gen.arity
-            if right_whisker:
-                return False
-    return True
+    if d.input_width < 1:
+        return False, False
+    left = all(s.offset >= 1 for s in d.slices)
+    right = all(
+        s.offset + s.gen.arity <= w - 1 for s, w in zip(d.slices, d.widths())
+    )
+    return left, right
 
 
 def _trim_outer_whiskers(d: Diagram) -> Diagram:
     """Remove identity wires passing untouched along either edge."""
-    changed = True
-    while changed:
-        changed = False
-        for member in exchange_closure(d):
-            if d.input_width >= 1 and all(s.offset >= 1 for s in member):
-                d = Diagram(
-                    d.input_width - 1, tuple(s.shifted(-1) for s in member)
-                )
-                changed = True
-                break
-            md = Diagram(d.input_width, member)
-            widths = md.widths()
-            if d.input_width >= 1 and all(
-                s.offset + s.gen.arity <= widths[i] - 1
-                for i, s in enumerate(member)
-            ):
-                d = Diagram(d.input_width - 1, member)
-                changed = True
-                break
-    return d
+    while True:
+        left, right = _outer_whiskers(d)
+        if left:
+            d = Diagram(
+                d.input_width - 1, tuple(s.shifted(-1) for s in d.slices)
+            )
+        elif right:
+            d = Diagram(d.input_width - 1, d.slices)
+        else:
+            return d
 
 
 def _min_input_width(slices) -> int:
@@ -273,48 +251,51 @@ def _superpose(rep1, rep2) -> list[tuple]:
     return out
 
 
-def critical_pairs_on(
-    p: Polygraph, u: Diagram, rule_pairs=None
-) -> list[Branching]:
+def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     """The critical branchings of ``p`` whose source is (the canonical form
     of) ``u``.
 
     A pair of matches is a critical branching when the matches share at
     least one generator occurrence (disjoint-support branchings are always
     confluent) and the source admits no nontrivial context factorization
-    around both redexes (see :func:`_is_minimal`).
+    around both redexes.  The source is non-minimal when an outer identity
+    wire passes untouched (a peelable whisker) or when some exchange
+    representative starts or ends with a slice outside the union of the two
+    matches (a peelable top/bottom context).  Slices outside the union that
+    are stuck *between* the redexes are allowed: they make the branching
+    entangled, not reducible.  Neither test depends on the pair, so both are
+    decided once for ``u``: the whiskers from one representative, and the
+    ``ends`` (occurrences some representative puts first or last) from one
+    pass over the exchange closure; a pair is minimal when its union covers
+    ``ends``.
     """
     u = canonical_form(u)
+    if any(_outer_whiskers(u)):
+        return []
+    ends = {
+        i for _, ids in exchange_closure_with_ids(u) for i in ids[:1] + ids[-1:]
+    }
+    matches = [(r, m) for r in p.rules for m in find_matches(u, r.lhs)]
     out = []
-    if rule_pairs is None:
-        rule_pairs = [
-            (p.rules[a], p.rules[b])
-            for a in range(len(p.rules))
-            for b in range(a, len(p.rules))
-        ]
-    matches = {r.name: find_matches(u, r.lhs) for r in {x for pr in rule_pairs for x in pr}}
-    for r1, r2 in rule_pairs:
-        for m1 in matches[r1.name]:
-            for m2 in matches[r2.name]:
-                if r1 is r2 and m1.key() >= m2.key():
-                    continue
-                if not (m1.occurrences & m2.occurrences):
-                    continue
-                if not _is_minimal(u, m1.occurrences | m2.occurrences):
-                    continue
-                first, second = sorted(
-                    ((r1, m1), (r2, m2)),
-                    key=lambda rm: (rm[0].name, rm[1].key()),
+    for i, (r1, m1) in enumerate(matches):
+        for r2, m2 in matches[i + 1:]:
+            if not (m1.occurrences & m2.occurrences):
+                continue
+            if not ends <= m1.occurrences | m2.occurrences:
+                continue
+            first, second = sorted(
+                ((r1, m1), (r2, m2)),
+                key=lambda rm: (rm[0].name, rm[1].key()),
+            )
+            out.append(
+                Branching(
+                    u,
+                    Step(first[0], "forward", first[1].context),
+                    Step(second[0], "forward", second[1].context),
+                    first[1].occurrences,
+                    second[1].occurrences,
                 )
-                out.append(
-                    Branching(
-                        u,
-                        Step(first[0], "forward", first[1].context),
-                        Step(second[0], "forward", second[1].context),
-                        first[1].occurrences,
-                        second[1].occurrences,
-                    )
-                )
+            )
     return out
 
 
@@ -353,9 +334,12 @@ def _insertion_variants(u: Diagram, p: Polygraph, width_bound: int):
                                 continue
 
 
-def enumerate_critical_branchings(
-    p: Polygraph, max_extra_width: int = 2
-) -> list[Branching]:
+#: Wires a candidate source may have beyond its rule sources (phase 1) or
+#: the widest phase-1 source (phase 2).
+MAX_EXTRA_WIDTH = 2
+
+
+def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     """All critical branchings of ``p``, deduplicated and in canonical order.
 
     Candidate sources are generated in two phases and every candidate is
@@ -373,16 +357,15 @@ def enumerate_critical_branchings(
     closures = {r.name: exchange_closure(r.lhs) for r in p.rules}
     found: dict[tuple, Branching] = {}
     rules = p.rules
-    seen_sources: set = set()
+    seen: set = set()
     for a in range(len(rules)):
         for b in range(a, len(rules)):
             r1, r2 = rules[a], rules[b]
             width_bound = (
                 max(r1.lhs.input_width, r1.lhs.output_width)
                 + max(r2.lhs.input_width, r2.lhs.output_width)
-                + max_extra_width
+                + MAX_EXTRA_WIDTH
             )
-            seen_candidates: set = set()
             for rep1 in closures[r1.name]:
                 for rep2 in closures[r2.name]:
                     # Try both role orders so the above-the-overlap part of
@@ -399,25 +382,23 @@ def enumerate_critical_branchings(
                         candidate = _trim_outer_whiskers(candidate)
                         candidate = canonical_form(candidate)
                         ckey = (candidate.input_width, candidate.slices)
-                        if ckey in seen_candidates or ckey in seen_sources:
+                        if ckey in seen:
                             continue
-                        seen_candidates.add(ckey)
-                        seen_sources.add(ckey)
+                        seen.add(ckey)
                         for br in critical_pairs_on(p, candidate):
                             found.setdefault(_branching_key(br), br)
     # Phase 2: entangled sources, one stuck slice beyond the union.
     max_width = max(
         (max(br.source.widths()) for br in found.values()), default=0
     )
-    width_bound = max_width + max_extra_width
-    seen_variants: set = set()
+    width_bound = max_width + MAX_EXTRA_WIDTH
     for br in list(found.values()):
         for variant in _insertion_variants(br.source, p, width_bound):
             v = canonical_form(variant)
             vkey = (v.input_width, v.slices)
-            if vkey in seen_variants or vkey in seen_sources:
+            if vkey in seen:
                 continue
-            seen_variants.add(vkey)
+            seen.add(vkey)
             for nb in critical_pairs_on(p, v):
                 found.setdefault(_branching_key(nb), nb)
     out = list(found.values())
@@ -590,7 +571,6 @@ def homotopy_basis(
     p: Polygraph,
     interp: Interpretation | None = None,
     assume_terminating: bool = False,
-    max_extra_width: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> list[ConfluenceDiagram]:
     """One confluence diagram per critical branching — a homotopy basis for
@@ -612,7 +592,7 @@ def homotopy_basis(
         )
     basis = []
     failures = []
-    for b in enumerate_critical_branchings(p, max_extra_width):
+    for b in enumerate_critical_branchings(p):
         result = check_local_confluence(p, b, budget)
         if isinstance(result, FailureReport):
             failures.append(result)
@@ -745,7 +725,6 @@ def asphericity_pipeline(
     p: Polygraph,
     interp: Interpretation | None = None,
     expected_proper: int | None = None,
-    max_extra_width: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> PipelineReport:
     """Termination evidence, enumeration, local confluence, classification.
@@ -761,7 +740,7 @@ def asphericity_pipeline(
     """
     termination = check_decrease(p, interp) if interp is not None else None
     smoke = None if interp is not None else _smoke_terminates(p, budget)
-    branchings = enumerate_critical_branchings(p, max_extra_width)
+    branchings = enumerate_critical_branchings(p)
     failures = []
     for b in branchings:
         result = check_local_confluence(p, b, budget)

@@ -11,7 +11,13 @@ the exchange relations: adjacent slices with disjoint supports may be swapped.
 ``canonical_form`` picks a unique representative of each exchange class: the
 left-greedy (lexicographically least) slice sequence, computed by repeatedly
 exchanging the least available slice to the front.  ``diagram_equal``
-compares canonical forms.
+compares canonical forms.  This is exact only when no generator has
+coarity 0: with one, the single-swap relation is not symmetric, and equal
+2-cells can get different canonical forms.  Over ``eta : 0 -> 1``,
+``delta : 1 -> 2`` and ``eps : 1 -> 0``, the closure of
+``eta ; delta ; (eta * id 2) ; (eps * id 2)`` holds
+``eta ; eps ; eta ; delta``, whose own closure does not hold the first, and
+``diagram_equal`` calls the two different.
 ``exchange_closure`` computes the full class by brute force; it serves as the
 correctness oracle for the canonical form and as the completeness backbone of
 pattern matching.
@@ -442,11 +448,13 @@ class _Parser:
                 )
             return identity(int(tok[1]))
         if kind == "ident":
-            if not self.sig.has(value):
+            try:
+                gen = self.sig.lookup(value)
+            except DiagramError:
                 raise ParseError(
                     f"unknown generator {value!r} at line {line}, column {col}"
-                )
-            return generator_diagram(self.sig.lookup(value))
+                ) from None
+            return generator_diagram(gen)
         raise ParseError(f"unexpected token {value!r} at line {line}, column {col}")
 
 

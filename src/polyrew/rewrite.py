@@ -258,10 +258,6 @@ class Trace:
         return self.steps[-1].target() if self.steps else self.source
 
 
-def trace_target(t: Trace) -> Diagram:
-    return t.target()
-
-
 def validate_trace(t: Trace, equiv=diagram_equal) -> None:
     """Check the boundary chain of ``t`` under the 2-cell congruence ``equiv``."""
     current = t.source

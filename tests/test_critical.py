@@ -7,21 +7,25 @@ every small diagram, collect every minimal overlapping pair directly, and
 compare against the enumerator's output.
 """
 
+import itertools
 import json
 
 import pytest
 
 from polyrew.diagram import (
     Diagram,
+    GeneratorSym,
     Signature,
     Slice,
     TAU,
     canonical_form,
     diagram_equal,
+    exchange_closure,
+    exchange_closure_with_ids,
     parse_diagram,
     print_diagram,
 )
-from polyrew.rewrite import Polygraph, Rule, validate_trace
+from polyrew.rewrite import Polygraph, Rule, find_matches, validate_trace
 from polyrew.critical import (
     Branching,
     ConfluenceDiagram,
@@ -30,6 +34,7 @@ from polyrew.critical import (
     FailureReport,
     FAMILY_TAGS,
     _branching_key,
+    _outer_whiskers,
     asphericity_pipeline,
     check_local_confluence,
     classify_branching,
@@ -284,6 +289,92 @@ class TestExhaustiveOracle:
         expected = brute_force_keys(asp, 4, 4)
         got = {_branching_key(b) for b in enumerate_critical_branchings(asp)}
         assert got == expected
+
+
+# -- minimality: closure-based reference ----------------------------------
+
+
+def closure_is_minimal(u, union):
+    """Minimality decided over every exchange representative of ``u``.
+
+    ``critical_pairs_on`` decides the whiskers on one representative and the
+    peelable end slices once per source; this reference scans the whole
+    closure for every pair, so it checks both shortcuts.
+    """
+    for slices, ids in exchange_closure_with_ids(u):
+        if ids and (ids[0] not in union or ids[-1] not in union):
+            return False
+        if u.input_width >= 1 and slices:
+            if all(s.offset >= 1 for s in slices):
+                return False
+            w = u.input_width
+            right_whisker = True
+            for s in slices:
+                if s.offset + s.gen.arity > w - 1:
+                    right_whisker = False
+                    break
+                w += s.gen.coarity - s.gen.arity
+            if right_whisker:
+                return False
+    return True
+
+
+def reference_keys(p, d):
+    """The branching keys of every minimal overlapping pair of matches on
+    ``d``, with minimality from :func:`closure_is_minimal`."""
+    u = canonical_form(d)
+    matches = [(r, m) for r in p.rules for m in find_matches(u, r.lhs)]
+    keys = set()
+    for (r1, m1), (r2, m2) in itertools.combinations(matches, 2):
+        union = m1.occurrences | m2.occurrences
+        if m1.occurrences & m2.occurrences and closure_is_minimal(u, union):
+            keys.add((
+                (u.input_width, u.slices),
+                frozenset({(r1.name, m1.occurrences), (r2.name, m2.occurrences)}),
+            ))
+    return keys
+
+
+def counit_polygraph():
+    """Coassociative comultiplication with a counit ``eps : 1 -> 0`` and a
+    unit ``eta`` that it cancels, leaving the empty diagram."""
+    sig = Signature("Counit", (
+        GeneratorSym("delta", 1, 2),
+        GeneratorSym("eps", 1, 0),
+        GeneratorSym("eta", 0, 1),
+    ))
+
+    def rule(name, lhs, rhs):
+        return Rule(name, parse_diagram(lhs, sig), parse_diagram(rhs, sig))
+
+    return Polygraph(sig, (
+        rule("coassoc", "delta ; (delta * id 1)", "delta ; (id 1 * delta)"),
+        rule("counit_l", "delta ; (eps * id 1)", "id 1"),
+        rule("counit_r", "delta ; (id 1 * eps)", "id 1"),
+        rule("cancel", "eta ; eps", "id 0"),
+    ))
+
+
+class TestMinimality:
+    @pytest.mark.parametrize("preset, max_slices, max_width", [
+        ("mon", 4, 4),
+        ("s_empty", 6, 4),
+        ("sym_prime", 4, 4),
+        ("counit", 4, 3),
+    ])
+    def test_matches_closure_reference(
+        self, request, preset, max_slices, max_width
+    ):
+        p = (counit_polygraph() if preset == "counit"
+             else request.getfixturevalue(preset))
+        for d in all_diagrams(p.signature, max_slices, max_width):
+            whiskers = {
+                _outer_whiskers(Diagram(d.input_width, member))
+                for member in exchange_closure(d)
+            }
+            assert len(whiskers) == 1, print_diagram(d)
+            got = {_branching_key(b) for b in critical_pairs_on(p, d)}
+            assert got == reference_keys(p, d), print_diagram(d)
 
 
 # -- local confluence ------------------------------------------------------

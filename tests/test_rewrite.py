@@ -35,7 +35,6 @@ from polyrew.rewrite import (
     parse_trace,
     print_polygraph,
     print_trace,
-    trace_target,
     validate_trace,
 )
 from conftest import MU
@@ -250,7 +249,7 @@ class TestTraces:
         p = mon_polygraph
         alpha = p.rule("alpha")
         t = Trace(alpha.lhs, (Step(alpha, "forward", identity_context(alpha.lhs)),))
-        assert diagram_equal(trace_target(t), alpha.rhs)
+        assert diagram_equal(t.target(), alpha.rhs)
 
     def test_validate(self, mon_polygraph):
         d, t = self.make_alpha_trace(mon_polygraph)
@@ -270,7 +269,7 @@ class TestTraces:
         assert invert_trace(inv) == t
         round_trip = compose_traces(t, inv)
         validate_trace(round_trip)
-        assert diagram_equal(round_trip.source, trace_target(round_trip))
+        assert diagram_equal(round_trip.source, round_trip.target())
 
     def test_parallel(self, mon_polygraph):
         p = mon_polygraph
@@ -332,7 +331,7 @@ rule rho : (id 1 * eta) ; mu => id 1
         assert diagram_equal(back.source, t.source)
         assert len(back.steps) == len(t.steps)
         validate_trace(back)
-        assert diagram_equal(trace_target(back), trace_target(t))
+        assert diagram_equal(back.target(), t.target())
 
     def test_bad_line(self):
         with pytest.raises(RewriteError, match="line 1"):
