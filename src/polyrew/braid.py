@@ -7,6 +7,13 @@ the left-greedy Garside normal form ``Δ^k · f₁ ⋯ f_r`` (simple factors
 represented as permutation tables), with Dehornoy handle reduction kept as an
 independent triviality oracle for cross-checks.
 
+``garside_nf`` reads a word once, left to right.  Each negative letter
+contributes a ``Δ⁻¹``; rather than conjugating the factors collected so far
+to push it to the front, it flips a Δ-parity flag, new factors are stored in
+the frame that flag names, and the whole list is conjugated once at the end
+if the parity is odd.  The list stays left-weighted as it grows: appending a
+factor re-weights the last pair and walks left only while a pair changes.
+
 Conventions, fixed project-wide:
 
 * ``σ_i`` crosses the strands at positions ``i`` and ``i+1``; positive sign
@@ -19,6 +26,7 @@ Conventions, fixed project-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 class BraidError(Exception):
@@ -83,7 +91,7 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[p[x]] for x in range(len(p)))
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+def _invert(p: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(p)
     for x, y in enumerate(p):
         out[y] = x
@@ -112,9 +120,40 @@ def perm_of_braid(w: BraidWord) -> tuple[int, ...]:
 # -- Garside left-greedy normal form --------------------------------------
 
 
-def _descents(p: tuple[int, ...]) -> set[int]:
-    """Starting set of the permutation braid of ``p``: {i : p(i) > p(i+1)}."""
-    return {i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]}
+def _conjugate(f: tuple[int, ...]) -> tuple[int, ...]:
+    """The simple factor ``Δ f Δ⁻¹``: strand positions mirrored."""
+    n = len(f)
+    return tuple(n - 1 - y for y in reversed(f))
+
+
+def _reweight(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The left-weighted pair with product ``a·b``, or None if ``(a, b)``
+    already is one.
+
+    While some ``σ_i`` starts ``b`` (``b(i-1) > b(i)``) but does not finish
+    ``a`` (it is not a descent of ``a⁻¹``), move it from ``b`` to ``a``:
+    ``a·σ_i`` swaps the values ``i-1, i`` of ``a``, and ``σ_i⁻¹·b`` swaps
+    the entries ``i-1, i`` of ``b``.  The result, ``a' = (a·b) ∧ Δ``, does
+    not depend on the order of the moves.
+    """
+    n = len(a)
+    a_inv = list(_invert(a))
+    b_list = list(b)
+    moved = False
+    i = 1
+    while i < n:
+        if b_list[i - 1] > b_list[i] and a_inv[i - 1] < a_inv[i]:
+            b_list[i - 1], b_list[i] = b_list[i], b_list[i - 1]
+            a_inv[i - 1], a_inv[i] = a_inv[i], a_inv[i - 1]
+            moved = True
+            i = max(1, i - 1)
+        else:
+            i += 1
+    if not moved:
+        return None
+    return _invert(a_inv), tuple(b_list)
 
 
 @dataclass(frozen=True)
@@ -137,53 +176,50 @@ class GarsideNormalForm:
 
 
 def garside_nf(w: BraidWord) -> GarsideNormalForm:
-    """The unique left-greedy normal form; equal iff equal as braids."""
+    """The unique left-greedy normal form; equal iff equal as braids.
+
+    One left-to-right pass.  A negative letter is written
+    ``σ_i⁻¹ = Δ⁻¹ · (Δ σ_i⁻¹)``; instead of pushing each ``Δ⁻¹`` to the front
+    by conjugating every factor collected so far, the pass tracks the parity
+    of the negative letters read and stores each new factor in the frame
+    twisted by that parity.  The stored factors are conjugated by Δ once at
+    the end when the parity is odd.  Conjugation by Δ preserves
+    left-weightedness, so the stored list is kept left-weighted as it grows:
+    each factor is appended, the pair (last, new) is re-weighted, and the
+    pass walks left only while a pair changed.  Identity factors are dropped
+    as they appear, and leading Δ factors move into the power at the end.
+    """
     n = w.n
     w0 = _half_twist(n)
-    power = 0
+    ident = _identity_perm(n)
+    negative = 0
     factors: list[tuple[int, ...]] = []
     for i, sign in w.letters:
-        s = _transposition(n, i)
         if sign > 0:
-            factors.append(s)
+            f = _transposition(n, i)
         else:
-            # σ_i⁻¹ = Δ⁻¹ · (Δ σ_i⁻¹); pushing the Δ⁻¹ to the front
-            # conjugates the accumulated factors by the half twist.
-            factors = [_compose(_compose(w0, f), w0) for f in factors]
-            power -= 1
-            factors.append(_compose(w0, s))
-    factors = _left_weight(n, factors)
-    while factors and factors[0] == w0:
-        power += 1
-        factors.pop(0)
-    return GarsideNormalForm(n, power, tuple(factors))
-
-
-def _left_weight(n: int, factors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Sweep adjacent pairs until every pair (A, B) satisfies S(B) ⊆ F(A)."""
-    ident = _identity_perm(n)
-    factors = [f for f in factors if f != ident]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(factors) - 1):
-            a, b = factors[k], factors[k + 1]
-            moved = False
-            while True:
-                pending = _descents(b) - _descents(_invert(a))
-                if not pending:
-                    break
-                i = min(pending)
-                s = _transposition(n, i)
-                a = _compose(a, s)
-                b = _compose(s, b)
-                moved = True
-            if moved:
-                factors[k], factors[k + 1] = a, b
-                changed = True
-        if changed:
-            factors = [f for f in factors if f != ident]
-    return factors
+            negative += 1
+            f = _compose(w0, _transposition(n, i))
+        if negative % 2:
+            f = _conjugate(f)
+        if f == ident:
+            continue
+        factors.append(f)
+        k = len(factors) - 1
+        while k > 0:
+            pair = _reweight(factors[k - 1], factors[k])
+            if pair is None:
+                break
+            factors[k - 1], factors[k] = pair
+            if pair[1] == ident:
+                del factors[k]
+            k -= 1
+    if negative % 2:
+        factors = [_conjugate(f) for f in factors]
+    lead = 0
+    while lead < len(factors) and factors[lead] == w0:
+        lead += 1
+    return GarsideNormalForm(n, lead - negative, tuple(factors[lead:]))
 
 
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .braid import BraidWord, block_crossing, braid_concat, braid_equal, garside_nf
+from .braid import BraidWord, block_crossing, braid_concat, garside_nf
 from .critical import s_construction, structural_rules, tau_diagram
 from .diagram import (
     Diagram,
@@ -164,9 +164,20 @@ def get_preset(name: str) -> Preset:
 
 def structural_normal_form(d: Diagram, p: Polygraph,
                            budget: int = DEFAULT_BUDGET) -> Diagram:
+    """The canonical form of ``d``'s normal form under the structural rules.
+
+    Memoized on the exchange class of ``d``: ``normalize`` matches on the
+    canonical subject, so the result depends only on ``canonical_form(d)``.
+    A call that raises (``BudgetExceededError``) is not cached.
+    """
+    return _structural_normal_form(canonical_form(d), p, budget)
+
+
+@lru_cache(maxsize=1 << 12)
+def _structural_normal_form(d: Diagram, p: Polygraph, budget: int) -> Diagram:
     rules = structural_rules(p)
     if not rules:
-        return canonical_form(d)
+        return d
     nf, _ = normalize(d, p, budget, rules=rules)
     return canonical_form(nf)
 
@@ -384,13 +395,14 @@ def decide_coherence(preset: Preset, t1: Trace, t2: Trace) -> Decision:
         return Decision("Equal", evidence)
     b1 = braid_of_trace(t1, p)
     b2 = braid_of_trace(t2, p)
+    nf1, nf2 = garside_nf(b1), garside_nf(b2)
     evidence.update(
         braid1=str(b1),
         braid2=str(b2),
-        garside1=str(garside_nf(b1)),
-        garside2=str(garside_nf(b2)),
+        garside1=str(nf1),
+        garside2=str(nf2),
     )
-    return Decision("Equal" if braid_equal(b1, b2) else "NotEqual", evidence)
+    return Decision("Equal" if nf1 == nf2 else "NotEqual", evidence)
 
 
 def initial_algebra_compose(a1: Trace, a2: Trace,

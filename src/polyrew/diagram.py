@@ -83,21 +83,24 @@ class Signature:
             raise DiagramError(f"duplicate generator names in signature {self.name!r}")
         if "tau" in names and not self.is_prop:
             raise DiagramError("tau present but signature is not a prop")
+        gens = self.generators
+        if self.is_prop and "tau" not in names:
+            gens = gens + (TAU,)
+        # Built once: the parser looks up every generator token.
+        object.__setattr__(self, "_all_generators", gens)
+        object.__setattr__(self, "_by_name", {g.name: g for g in gens})
 
     def all_generators(self) -> tuple[GeneratorSym, ...]:
-        gens = self.generators
-        if self.is_prop and all(g.name != "tau" for g in gens):
-            gens = gens + (TAU,)
-        return gens
+        return self._all_generators
 
     def lookup(self, name: str) -> GeneratorSym:
-        for g in self.all_generators():
-            if g.name == name:
-                return g
-        raise DiagramError(f"unknown generator {name!r} in signature {self.name!r}")
+        g = self._by_name.get(name)
+        if g is None:
+            raise DiagramError(f"unknown generator {name!r} in signature {self.name!r}")
+        return g
 
     def has(self, name: str) -> bool:
-        return any(g.name == name for g in self.all_generators())
+        return name in self._by_name
 
 
 @dataclass(frozen=True)

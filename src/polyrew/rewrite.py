@@ -103,6 +103,15 @@ class Polygraph:
                             f"outside signature {self.signature.name!r}"
                         )
 
+    def __hash__(self) -> int:
+        # Cached: memos keyed on a polygraph hash it on every lookup, and
+        # the rules' diagrams hash recursively.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.signature, self.rules))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def rule(self, name: str) -> Rule:
         for r in self.rules:
             if r.name == name:

@@ -8,6 +8,7 @@ import pytest
 from polyrew.braid import (
     BraidError,
     BraidWord,
+    GarsideNormalForm,
     block_crossing,
     braid_concat,
     braid_equal,
@@ -203,3 +204,111 @@ class TestBlockCrossing:
     def test_range_violation(self):
         with pytest.raises(BraidError):
             block_crossing(1, 2, 2, 1, 4)
+
+
+# -- the sweep-based normal form, kept as an oracle -------------------------
+#
+# A self-contained copy of the earlier engine, permutation helpers included,
+# so that a change to the module's helpers cannot move the oracle with it.
+
+
+def _compose(p, q):
+    return tuple([q[x] for x in p])
+
+
+def _invert(p):
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[y] = x
+    return tuple(out)
+
+
+def _transposition(n, i):
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def _descents(p):
+    return {i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
+def _sweep_garside_nf(w):
+    """The earlier ``garside_nf``: conjugate every collected factor by Δ for
+    each negative letter, then sweep adjacent pairs to a fixpoint."""
+    n = w.n
+    w0 = tuple(range(n - 1, -1, -1))
+    power = 0
+    factors = []
+    for i, sign in w.letters:
+        s = _transposition(n, i)
+        if sign > 0:
+            factors.append(s)
+        else:
+            factors = [_compose(_compose(w0, f), w0) for f in factors]
+            power -= 1
+            factors.append(_compose(w0, s))
+    factors = _sweep_left_weight(n, factors)
+    while factors and factors[0] == w0:
+        power += 1
+        factors.pop(0)
+    return GarsideNormalForm(n, power, tuple(factors))
+
+
+def _sweep_left_weight(n, factors):
+    ident = tuple(range(n))
+    factors = [f for f in factors if f != ident]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(factors) - 1):
+            a, b = factors[k], factors[k + 1]
+            moved = False
+            while True:
+                pending = _descents(b) - _descents(_invert(a))
+                if not pending:
+                    break
+                i = min(pending)
+                s = _transposition(n, i)
+                a = _compose(a, s)
+                b = _compose(s, b)
+                moved = True
+            if moved:
+                factors[k], factors[k + 1] = a, b
+                changed = True
+        if changed:
+            factors = [f for f in factors if f != ident]
+    return factors
+
+
+class TestIncrementalGarsideOracle:
+    """The single-pass ``garside_nf`` returns exactly the normal form of the
+    sweep-based one it replaced."""
+
+    def test_matches_sweep_on_random_words(self):
+        # One word in four is all-negative and one all-positive; the rest
+        # mix signs.  On one strand every word is empty.
+        rng = random.Random(20261018)
+        seen_n = set()
+        for k in range(2000):
+            n = rng.randint(1, 7)
+            signs = ((-1,), (1,), (1, -1), (1, -1))[k % 4]
+            letters = tuple(
+                (rng.randint(1, n - 1), rng.choice(signs))
+                for _ in range(rng.randint(0, 60) if n > 1 else 0)
+            )
+            w = BraidWord(n, letters)
+            seen_n.add(n)
+            assert garside_nf(w) == _sweep_garside_nf(w), str(w)
+        assert seen_n == set(range(1, 8))
+
+    def test_two_strands(self):
+        # On two strands Δ·σ₁⁻¹ is the identity factor: the form of any word
+        # is Δ^(exponent sum) with no factors.
+        rng = random.Random(2)
+        for _ in range(300):
+            w = random_word(rng, n=2, max_len=40)
+            expected = sum(sign for _, sign in w.letters)
+            nf = garside_nf(w)
+            assert nf == _sweep_garside_nf(w)
+            assert (nf.delta_power, nf.factors) == (expected, ())

@@ -29,12 +29,21 @@ from polyrew.diagram import (
     Slice,
     canonical_form,
     diagram_equal,
+    exchange_closure,
     identity,
     parse_diagram,
     print_diagram,
     vcomp,
 )
-from polyrew.rewrite import Context, Step, Trace, find_matches, validate_trace
+from polyrew.rewrite import (
+    BudgetExceededError,
+    Context,
+    Step,
+    Trace,
+    find_matches,
+    normalize,
+    validate_trace,
+)
 
 
 BR = get_preset("br")
@@ -468,3 +477,41 @@ class TestRandomizedInvariants:
             assert braid_of_trace(mutated) == base
             checked += 1
         assert checked == 100
+
+
+# -- the structural normal form memo ---------------------------------------
+
+
+def uncached_structural_normal_form(d, p):
+    nf, _ = normalize(d, p, rules=structural_rules(p))
+    return canonical_form(nf)
+
+
+class TestStructuralNormalFormMemo:
+    def test_matches_uncached_on_exchange_class(self):
+        """Every member of an exchange class gets the normal form that
+        normalizing that very member gives."""
+        rng = random.Random(2026)
+        p = BR.polygraph
+        members = 0
+        for _ in range(40):
+            d = random_algebraic_diagram(rng, max_gens=5, max_width=4)
+            for slices in exchange_closure(d):
+                m = Diagram(d.input_width, slices)
+                assert structural_normal_form(m, p) == \
+                    uncached_structural_normal_form(m, p)
+                members += 1
+        assert members > 40
+
+    def test_errors_not_cached(self):
+        p = BR.polygraph
+        d = Q("tau ; tau ; (eta * id 2) ; (id 1 * mu)")
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                structural_normal_form(d, p, budget=0)
+        assert structural_normal_form(d, p) == \
+            uncached_structural_normal_form(d, p)
+        # The budget is part of the key: a cached success does not leak to
+        # a smaller budget.
+        with pytest.raises(BudgetExceededError):
+            structural_normal_form(d, p, budget=0)
