@@ -5,13 +5,15 @@ Verbs: ``normalize``, ``critical``, ``confluence``, ``termination``,
 a compiled-in preset (``--preset``) or a file (``--polygraph``); reports are
 emitted as text or JSON.  Exit codes: 0 = success/Equal, 1 = the analysis
 found a failure (non-confluence, failed certificate, NotEqual/NotParallel),
-2 = input error.
+2 = input error, including input too large to process (``RecursionError`` or
+``MemoryError``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -49,7 +51,10 @@ class InputError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first ``main`` call, not at import, and reused: in-process
+    # callers run ``main`` many times.
     parser = argparse.ArgumentParser(
         prog="polyrew",
         description="polygraphic rewriting workbench for PROs and PROPs",
@@ -275,8 +280,7 @@ def _emit(args, report: dict, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code, report, text = _VERBS[args.verb](args)
         _emit(args, report, text)
@@ -290,6 +294,9 @@ def main(argv=None) -> int:
         CoherenceError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        sys.stderr.write(f"error: input too large ({type(exc).__name__})\n")
         return 2
 
 

@@ -234,12 +234,6 @@ class BundleState:
 
     bundles: tuple[tuple[int, ...], ...]
 
-    def size(self, wire: int) -> int:
-        return len(self.bundles[wire])
-
-    def strands_before(self, wire: int) -> int:
-        return sum(len(b) for b in self.bundles[:wire])
-
 
 def leaf_bundles(d: Diagram) -> BundleState:
     """The input strands feeding each output wire, in left-to-right order.
@@ -325,7 +319,7 @@ def braid_of_step(s: Step, source: Diagram) -> BraidWord:
     # the two swapped blocks sit consecutively in the source's leaf order.
     # A forward step removes the redex crossing, so its source reads the
     # right bundle first.
-    sigma, _ = decompose_algebraic(source)
+    sigma = tuple(x for bundle in leaf_bundles(source).bundles for x in bundle)
     if s.direction == "forward":
         combined = right + left
         sign, first, second = 1, b, a

@@ -9,8 +9,9 @@ string diagram.
 Two slice lists represent the same 2-cell precisely when they are related by
 the exchange relations: adjacent slices with disjoint supports may be swapped.
 ``canonical_form`` picks a unique representative of each exchange class: the
-left-greedy (lexicographically least) slice sequence, computed by repeatedly
-exchanging the least available slice to the front.  ``diagram_equal``
+left-greedy (lexicographically least) slice sequence, computed in one loop
+that emits the least slice any branch of the search can exchange to its
+front and keeps every branch that can.  ``diagram_equal``
 compares canonical forms.  This is exact only when no generator has
 coarity 0: with one, the single-swap relation is not symmetric, and equal
 2-cells can get different canonical forms.  Over ``eta : 0 -> 1``,
@@ -233,57 +234,45 @@ def _swap(a: Slice, b: Slice) -> tuple[Slice, Slice]:
     return Slice(b.offset - a.gen.coarity + a.gen.arity, b.gen), a
 
 
-def _front_candidates(
+def _fronts(
     entries: list[tuple[Slice, int]],
-) -> list[tuple[Slice, int, list[tuple[Slice, int]]]]:
-    """All slices that can be exchanged to the front of ``entries``.
+) -> Iterator[tuple[Slice, int, list[tuple[Slice, int]]]]:
+    """Every slice that can be exchanged to the front of ``entries``, in order.
 
-    Returns triples ``(front_slice, original_index, remaining_entries)``
-    where the remaining entries are given in their adjusted coordinates.
+    Yields triples ``(front_slice, original_index, remaining_entries)`` where
+    the remaining entries are given in their adjusted coordinates.  Slice
+    ``j`` walks upward while it commutes with the slice above it; the
+    remainder is built only when the walk reaches the top.
     """
-    out = []
-    for j in range(len(entries)):
-        cur, cur_id = entries[j]
-        above: list[tuple[Slice, int]] = list(entries[:j])
-        ok = True
+    for j, (cur, cur_id) in enumerate(entries):
+        moved: list[tuple[Slice, int]] = []
         for k in range(j - 1, -1, -1):
-            a, a_id = above[k]
+            a, a_id = entries[k]
             if not _commute(a, cur):
-                ok = False
                 break
             cur, a2 = _swap(a, cur)
-            above[k] = (a2, a_id)
-        if ok:
-            out.append((cur, cur_id, above + entries[j + 1:]))
-    return out
+            moved.append((a2, a_id))
+        else:
+            yield cur, cur_id, moved[::-1] + entries[j + 1:]
 
 
 def _lex_min(entries: list[tuple[Slice, int]]) -> list[tuple[Slice, int]]:
     """The lexicographically least representative of the exchange class.
 
-    Greedy head selection: among the slices that can be exchanged to the
-    front, pick the one with the smallest ``(offset, name)``; ties between
-    equal heads are broken by recursively comparing the tails.  This computes
-    the exact minimum of the closure without enumerating it.
+    One loop over ordered branches ``(entries emitted, entries remaining)``.
+    Each round keeps every front with the least ``(offset, name)``, in
+    branch order then slice order, which is the order a depth-first search
+    tries them; so the first branch left at the end carries the indices
+    that search would pick among its least tails.
     """
-    if not entries:
-        return []
-    candidates = _front_candidates(entries)
-    best_key = min((c[0].offset, c[0].gen.name) for c in candidates)
-    tied = [c for c in candidates if (c[0].offset, c[0].gen.name) == best_key]
-    if len(tied) == 1:
-        front, front_id, rest = tied[0]
-        return [(front, front_id)] + _lex_min(rest)
-    best_tail: list[tuple[Slice, int]] | None = None
-    best_front = None
-    for front, front_id, rest in tied:
-        tail = _lex_min(rest)
-        tail_key = [(s.offset, s.gen.name) for s, _ in tail]
-        if best_tail is None or tail_key < [(s.offset, s.gen.name) for s, _ in best_tail]:
-            best_tail = tail
-            best_front = (front, front_id)
-    assert best_front is not None and best_tail is not None
-    return [best_front] + best_tail
+    branches = [([], entries)]
+    while branches[0][1]:
+        fronts = [(f, f_id, done, tail)
+                  for done, rest in branches for f, f_id, tail in _fronts(rest)]
+        best = min((f.offset, f.gen.name) for f, _, _, _ in fronts)
+        branches = [(done + [(f, f_id)], tail) for f, f_id, done, tail in fronts
+                    if (f.offset, f.gen.name) == best]
+    return branches[0][0]
 
 
 @lru_cache(maxsize=1 << 17)

@@ -397,14 +397,13 @@ _STEP_RE = re.compile(
 )
 
 
-def parse_trace(text: str, p: Polygraph, congruence: str | None = None) -> Trace:
+def parse_trace(text: str, p: Polygraph) -> Trace:
     """Parse the trace file format over polygraph ``p``.
 
     Header ``trace <name> on <expr>``; body lines
     ``step <rule> <+|-> top=<expr> left=<nat> right=<nat> bot=<expr>``.
     """
-    if congruence is None:
-        congruence = "prop" if p.signature.is_prop else "exchange_only"
+    congruence = "prop" if p.signature.is_prop else "exchange_only"
     source: Diagram | None = None
     steps: list[Step] = []
     for lineno, raw in enumerate(text.splitlines(), 1):

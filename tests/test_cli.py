@@ -55,6 +55,14 @@ class TestNormalize:
         assert code == 2
         assert "error:" in err
 
+    def test_deep_nesting_exits_2(self, capsys):
+        # The recursive-descent parser runs out of stack on this input.
+        expr = "(" * 1500 + "mu" + ")" * 1500
+        code, out, err = run(capsys, "normalize", "--preset", "mon", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "RecursionError" in err
+
 
 class TestCritical:
     def test_mon_five(self, capsys):
@@ -196,6 +204,22 @@ class TestDecide:
         assert report["evidence"]["braid2"] == "s1^-1"
 
     def test_requires_two_traces(self, capsys, trace_files):
+        code, _, err = run(
+            capsys, "decide", "--preset", "br",
+            "--trace", trace_files["beta"],
+        )
+        assert code == 2
+        assert "exactly two" in err
+
+    def test_repeated_calls_do_not_share_traces(self, capsys, trace_files):
+        # The parser is reused across calls; the second call's ``--trace``
+        # list must not carry the first call's files.
+        code, _, _ = run(
+            capsys, "decide", "--preset", "br",
+            "--trace", trace_files["daleth1a"],
+            "--trace", trace_files["daleth1b"],
+        )
+        assert code == 0
         code, _, err = run(
             capsys, "decide", "--preset", "br",
             "--trace", trace_files["beta"],

@@ -7,9 +7,14 @@ import pytest
 from polyrew.diagram import (
     Diagram,
     DiagramError,
+    GeneratorSym,
     ParseError,
+    Signature,
     Slice,
+    _commute,
+    _swap,
     canonical_form,
+    canonical_form_with_ids,
     diagram_equal,
     exchange_closure,
     generator_diagram,
@@ -155,6 +160,75 @@ class TestExchangeOracle:
         d1 = Diagram(0, (Slice(0, ETA), Slice(0, ETA)))
         d2 = Diagram(0, (Slice(0, ETA), Slice(1, ETA)))
         assert diagram_equal(d1, d2)
+
+
+class TestIterativeCanonicalForm:
+    """The loop in ``_lex_min`` against the recursive, tie-forking search it
+    replaced, kept here as the reference."""
+
+    SIG = Signature(
+        "MuEtaDeltaEps",
+        (MU, ETA, GeneratorSym("delta", 1, 2), GeneratorSym("eps", 1, 0)),
+        is_prop=True,
+    )
+
+    @staticmethod
+    def front_candidates(entries):
+        out = []
+        for j in range(len(entries)):
+            cur, cur_id = entries[j]
+            above = list(entries[:j])
+            ok = True
+            for k in range(j - 1, -1, -1):
+                a, a_id = above[k]
+                if not _commute(a, cur):
+                    ok = False
+                    break
+                cur, a2 = _swap(a, cur)
+                above[k] = (a2, a_id)
+            if ok:
+                out.append((cur, cur_id, above + entries[j + 1:]))
+        return out
+
+    @classmethod
+    def recursive_lex_min(cls, entries):
+        if not entries:
+            return []
+        candidates = cls.front_candidates(entries)
+        best_key = min((c[0].offset, c[0].gen.name) for c in candidates)
+        tied = [c for c in candidates if (c[0].offset, c[0].gen.name) == best_key]
+        best = None
+        for front, front_id, rest in tied:
+            tail = cls.recursive_lex_min(rest)
+            tail_key = [(s.offset, s.gen.name) for s, _ in tail]
+            if best is None or tail_key < best[0]:
+                best = (tail_key, [(front, front_id)] + tail)
+        return best[1]
+
+    @staticmethod
+    def parallel(k):
+        return Diagram(0, tuple(Slice(0, ETA) for _ in range(k)))
+
+    def test_matches_recursive_search(self):
+        rng = random.Random(20261018)
+        for n in range(5000):
+            d = random_diagram(self.SIG, rng, max_slices=4 + n % 6, max_width=4)
+            canon, ids = canonical_form_with_ids(d)
+            expected = self.recursive_lex_min(
+                [(s, i) for i, s in enumerate(d.slices)]
+            )
+            assert list(zip(canon.slices, ids)) == expected, d
+
+    def test_long_comb_no_recursion_error(self):
+        # A right comb of 1,500 mu is already canonical; the recursive
+        # search overflowed the stack on it.
+        n = 1500
+        d = Diagram(n + 1, tuple(Slice(m - 1, MU) for m in range(n, 0, -1)))
+        assert canonical_form(d) == d
+
+    def test_parallel_eta(self):
+        canon = canonical_form(self.parallel(12))
+        assert canon.slices == tuple(Slice(0, ETA) for _ in range(12))
 
 
 class TestInterchange:
