@@ -300,12 +300,17 @@ def braid_of_step(s: Step, source: Diagram) -> BraidWord:
     wire of its redex over the bundle feeding the right wire, with the sign
     of the step's direction.
     """
-    n = source.input_width
     if not diagram_equal(s.source(), source):
         raise CoherenceError(
             f"step {s.rule.name} {s.direction} does not apply to "
             f"'{print_diagram(source)}'"
         )
+    return _braid_of_redex(s, source)
+
+
+def _braid_of_redex(s: Step, source: Diagram) -> BraidWord:
+    """:func:`braid_of_step` for a ``source`` known to be ``s.source()``."""
+    n = source.input_width
     if s.rule.name != BRAIDING_RULE:
         return BraidWord(n)
     bundles = leaf_bundles(s.context.top).bundles
@@ -343,11 +348,10 @@ def braid_of_trace(t: Trace, p: Polygraph | None = None) -> BraidWord:
     """
     if p is None:
         p = get_preset("br").polygraph
-    validate_trace(t, congruence_equiv(p))
-    n = t.source.input_width
-    word = BraidWord(n)
-    for s in t.steps:
-        word = braid_concat(word, braid_of_step(s, s.source()))
+    sources = validate_trace(t, congruence_equiv(p))
+    word = BraidWord(t.source.input_width)
+    for s, source in zip(t.steps, sources):
+        word = braid_concat(word, _braid_of_redex(s, source))
     return word
 
 

@@ -5,7 +5,9 @@ rule applications.  Sources are built by superposing the two rule sources:
 for each pair of exchange representatives, each way of identifying a
 consecutive block of one with a window of the other (same generators, a
 uniform horizontal shift) produces a candidate overlap, which is then
-trimmed, verified by the matcher, and deduplicated by canonical form.  The
+trimmed, verified by the matcher, and deduplicated by canonical form.
+Entangled sources, where a slice outside both redexes is stuck between
+them, come from splicing one such stuck slice into each overlap.  The
 candidates are validated against an independent exhaustive search on the
 small presets in the test suite.
 
@@ -22,6 +24,7 @@ homotopy basis of the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 from .diagram import (
     Diagram,
@@ -29,10 +32,11 @@ from .diagram import (
     Signature,
     Slice,
     TAU,
+    _cuts,
+    _ends,
     canonical_form,
     diagram_equal,
     exchange_closure,
-    exchange_closure_with_ids,
     generator_diagram,
     hcomp,
     identity,
@@ -197,28 +201,17 @@ def _outer_whiskers(d: Diagram) -> tuple[bool, bool]:
     return left, right
 
 
-def _trim_outer_whiskers(d: Diagram) -> Diagram:
-    """Remove identity wires passing untouched along either edge."""
-    while True:
-        left, right = _outer_whiskers(d)
-        if left:
-            d = Diagram(
-                d.input_width - 1, tuple(s.shifted(-1) for s in d.slices)
-            )
-        elif right:
-            d = Diagram(d.input_width - 1, d.slices)
-        else:
-            return d
-
-
-def _min_input_width(slices) -> int:
-    """The least input width for which the slice sequence chains."""
-    w0 = 0
-    delta = 0
+def _tight(slices) -> Diagram:
+    """``slices`` on the fewest wires, so that no outer wire passes
+    untouched: shifted until one touches the left edge, over the least
+    input width for which they chain."""
+    m = min(s.offset for s in slices)
+    slices = tuple(s.shifted(-m) for s in slices)
+    w0 = delta = 0
     for s in slices:
         w0 = max(w0, s.offset + s.gen.arity - delta)
         delta += s.gen.coarity - s.gen.arity
-    return max(w0, 0)
+    return Diagram(w0, slices)
 
 
 def _superpose(rep1, rep2) -> list[tuple]:
@@ -265,16 +258,14 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     are stuck *between* the redexes are allowed: they make the branching
     entangled, not reducible.  Neither test depends on the pair, so both are
     decided once for ``u``: the whiskers from one representative, and the
-    ``ends`` (occurrences some representative puts first or last) from one
-    pass over the exchange closure; a pair is minimal when its union covers
-    ``ends``.
+    ``ends`` (occurrences some representative puts first or last) from
+    walking each slice up and down through its neighbours (``_ends``); a
+    pair is minimal when its union covers ``ends``.
     """
     u = canonical_form(u)
     if any(_outer_whiskers(u)):
         return []
-    ends = {
-        i for _, ids in exchange_closure_with_ids(u) for i in ids[:1] + ids[-1:]
-    }
+    ends = _ends(u)
     matches = [(r, m) for r in p.rules for m in find_matches(u, r.lhs)]
     out = []
     for i, (r1, m1) in enumerate(matches):
@@ -308,35 +299,28 @@ def _branching_key(b: Branching) -> tuple:
     )
 
 
-def _insertion_variants(u: Diagram, p: Polygraph, width_bound: int):
-    """Candidate entangled sources: ``u`` widened by outer wires with one
-    extra generator slice spliced in at any depth and offset."""
-    gens = p.signature.all_generators()
-    for extra_l in range(0, 2):
-        for extra_r in range(0, 2):
-            base = hcomp(identity(extra_l), u, identity(extra_r))
-            if max(base.widths()) > width_bound:
-                continue
-            for slices in exchange_closure(base):
-                widths = [base.input_width]
-                for s in slices:
-                    widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
-                for pos in range(len(slices) + 1):
-                    w = widths[pos]
-                    for g in gens:
-                        if w - g.arity + g.coarity > width_bound:
-                            continue
-                        for off in range(0, w - g.arity + 1):
-                            new = slices[:pos] + (Slice(off, g),) + slices[pos:]
-                            try:
-                                yield Diagram(base.input_width, new)
-                            except DiagramError:
-                                continue
-
-
-#: Wires a candidate source may have beyond its rule sources (phase 1) or
-#: the widest phase-1 source (phase 2).
-MAX_EXTRA_WIDTH = 2
+def _stuck_splices(u: Diagram, gens):
+    """Candidate entangled sources: ``u``, widened by at most one outer wire
+    on each side, with one generator slice spliced in at a cut, kept only
+    when no representative puts the new slice first or last and no outer
+    wire passes untouched (else the slice or wire is a peelable context)."""
+    for extra_l, extra_r in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        base = hcomp(identity(extra_l), u, identity(extra_r))
+        for top, rest in _cuts(base):
+            above = tuple(s for s, _ in top)
+            below = tuple(s for s, _ in rest)
+            w = Diagram(base.input_width, above).output_width
+            for g in gens:
+                for off in range(w - g.arity + 1):
+                    try:
+                        d = Diagram(base.input_width,
+                                    above + (Slice(off, g),) + below)
+                    except DiagramError:
+                        continue
+                    if len(above) not in _ends(d) and not any(
+                        _outer_whiskers(d)
+                    ):
+                        yield d
 
 
 def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
@@ -346,61 +330,38 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     re-verified against the matcher and the minimality test, so generation
     is heuristic but acceptance is not.  Phase 1 superposes pairs of rule
     sources over their exchange closures (all overlap-type branchings, where
-    the source is the union of the two redexes).  Phase 2 splices one extra
+    the source is the union of the two redexes).  Phase 2 splices one stuck
     generator slice into each phase-1 source, possibly widened by outer
     wires, to catch entangled branchings whose source strictly contains the
     union — e.g. the wide Yang–Baxter self-overlap of the symmetry rules.
-    Completeness is bounded: branchings needing two or more extra stuck
-    slices would be missed; none arise for the presentations in scope,
-    which the exhaustive-search cross-checks in the test suite confirm.
+    Completeness is bounded: branchings needing two or more stuck slices
+    are missed, and such branchings exist (perm has three ``yb``/``yb``
+    ones, pinned in the test suite).
     """
-    closures = {r.name: exchange_closure(r.lhs) for r in p.rules}
     found: dict[tuple, Branching] = {}
-    rules = p.rules
     seen: set = set()
-    for a in range(len(rules)):
-        for b in range(a, len(rules)):
-            r1, r2 = rules[a], rules[b]
-            width_bound = (
-                max(r1.lhs.input_width, r1.lhs.output_width)
-                + max(r2.lhs.input_width, r2.lhs.output_width)
-                + MAX_EXTRA_WIDTH
-            )
-            for rep1 in closures[r1.name]:
-                for rep2 in closures[r2.name]:
-                    # Try both role orders so the above-the-overlap part of
-                    # either rule source can end up on top of the fusion.
-                    fusions = _superpose(rep1, rep2) + _superpose(rep2, rep1)
-                    for fused in fusions:
-                        w0 = _min_input_width(fused)
-                        try:
-                            candidate = Diagram(w0, fused)
-                        except DiagramError:
-                            continue
-                        if max(candidate.widths()) > width_bound:
-                            continue
-                        candidate = _trim_outer_whiskers(candidate)
-                        candidate = canonical_form(candidate)
-                        ckey = (candidate.input_width, candidate.slices)
-                        if ckey in seen:
-                            continue
-                        seen.add(ckey)
-                        for br in critical_pairs_on(p, candidate):
-                            found.setdefault(_branching_key(br), br)
+
+    def consider(candidate: Diagram) -> None:
+        candidate = canonical_form(candidate)
+        ckey = (candidate.input_width, candidate.slices)
+        if ckey not in seen:
+            seen.add(ckey)
+            for br in critical_pairs_on(p, candidate):
+                found.setdefault(_branching_key(br), br)
+
+    closures = {r.name: exchange_closure(r.lhs) for r in p.rules}
+    for r1, r2 in combinations_with_replacement(p.rules, 2):
+        for rep1 in closures[r1.name]:
+            for rep2 in closures[r2.name]:
+                # Try both role orders so the above-the-overlap part of
+                # either rule source can end up on top of the fusion.
+                for fused in _superpose(rep1, rep2) + _superpose(rep2, rep1):
+                    consider(_tight(fused))
     # Phase 2: entangled sources, one stuck slice beyond the union.
-    max_width = max(
-        (max(br.source.widths()) for br in found.values()), default=0
-    )
-    width_bound = max_width + MAX_EXTRA_WIDTH
+    gens = p.signature.all_generators()
     for br in list(found.values()):
-        for variant in _insertion_variants(br.source, p, width_bound):
-            v = canonical_form(variant)
-            vkey = (v.input_width, v.slices)
-            if vkey in seen:
-                continue
-            seen.add(vkey)
-            for nb in critical_pairs_on(p, v):
-                found.setdefault(_branching_key(nb), nb)
+        for variant in _stuck_splices(br.source, gens):
+            consider(variant)
     out = list(found.values())
     out.sort(
         key=lambda br: (

@@ -256,6 +256,36 @@ def _fronts(
             yield cur, cur_id, moved[::-1] + entries[j + 1:]
 
 
+def _cuts(d: Diagram) -> Iterator[tuple[list, list]]:
+    """One split ``(top, rest)`` of ``d``'s ``(slice, index)`` entries per
+    set of slices some exchange representative puts above a cut, by size;
+    each cut grows one above it by a front of its ``rest``."""
+    level = [([], [(s, i) for i, s in enumerate(d.slices)])]
+    while level:
+        yield from level
+        grown = {}
+        for top, rest in level:
+            for f, f_id, tail in _fronts(rest):
+                key = frozenset([i for _, i in top] + [f_id])
+                if key not in grown:
+                    grown[key] = (top + [(f, f_id)], tail)
+        level = list(grown.values())
+
+
+def _ends(d: Diagram) -> set[int]:
+    """The indices of the slices some exchange representative of ``d`` puts
+    first or last: the fronts, and the slices that walk down to the bottom."""
+    ends = {i for _, i, _ in _fronts([(s, i) for i, s in enumerate(d.slices)])}
+    for j, cur in enumerate(d.slices):
+        for b in d.slices[j + 1:]:
+            if not _commute(cur, b):
+                break
+            _, cur = _swap(cur, b)
+        else:
+            ends.add(j)
+    return ends
+
+
 def _lex_min(entries: list[tuple[Slice, int]]) -> list[tuple[Slice, int]]:
     """The lexicographically least representative of the exchange class.
 

@@ -267,17 +267,22 @@ class Trace:
         return self.steps[-1].target() if self.steps else self.source
 
 
-def validate_trace(t: Trace, equiv=diagram_equal) -> None:
-    """Check the boundary chain of ``t`` under the 2-cell congruence ``equiv``."""
+def validate_trace(t: Trace, equiv=diagram_equal) -> list[Diagram]:
+    """Check the boundary chain of ``t`` under the 2-cell congruence
+    ``equiv``; return each step's source, so callers need not plug it."""
     current = t.source
+    sources = []
     for i, s in enumerate(t.steps):
-        if not equiv(s.source(), current):
+        source = s.source()
+        if not equiv(source, current):
             raise RewriteError(
                 f"invalid trace: step {i} ({s.rule.name} {s.direction}) expects "
-                f"'{print_diagram(s.source())}' but the current 2-cell is "
+                f"'{print_diagram(source)}' but the current 2-cell is "
                 f"'{print_diagram(current)}'"
             )
+        sources.append(source)
         current = s.target()
+    return sources
 
 
 def compose_traces(t1: Trace, t2: Trace, equiv=diagram_equal) -> Trace:

@@ -7,17 +7,21 @@ every small diagram, collect every minimal overlapping pair directly, and
 compare against the enumerator's output.
 """
 
+import hashlib
 import itertools
 import json
 
 import pytest
 
+from polyrew.coherence import get_preset
 from polyrew.diagram import (
     Diagram,
     GeneratorSym,
     Signature,
     Slice,
     TAU,
+    _cuts,
+    _ends,
     canonical_form,
     diagram_equal,
     exchange_closure,
@@ -35,6 +39,7 @@ from polyrew.critical import (
     FAMILY_TAGS,
     _branching_key,
     _outer_whiskers,
+    _stuck_splices,
     asphericity_pipeline,
     check_local_confluence,
     classify_branching,
@@ -233,6 +238,27 @@ class TestEnumeration:
         ) == []
 
 
+#: ``len`` and SHA-256 of ``repr(enumerate_critical_branchings(p))`` per
+#: preset, pinned before entangled sources came from stuck splices: any
+#: change to a branching, its steps, its occurrences or their order shows.
+GOLDEN_ENUMERATION = {
+    "as": (1, "5ae4e408fea67db41740fd993299dbc2c4155173212aca1247a800b3be8e4943"),
+    "mon": (5, "d1fde7c689d96180b8597e15a4de0b86b01c6db5cc8d9b74c0f0baaef54d5652"),
+    "perm": (5, "e1b53fa71839f494068c2d943a20981c7c547cc79fdea574230494069a16980b"),
+    "sym": (41, "ca87794b7f92890cec31b689e9ef11a0985153150612af1664d0dc7e97f40238"),
+    "sym_prime": (
+        54, "3f8586d889072921725ae902b802321d205f26956bad2de280afb4ecf598c3e5"),
+    "br": (41, "ca87794b7f92890cec31b689e9ef11a0985153150612af1664d0dc7e97f40238"),
+}
+
+
+@pytest.mark.parametrize("preset", list(GOLDEN_ENUMERATION))
+def test_golden_enumeration(preset):
+    bs = enumerate_critical_branchings(get_preset(preset).polygraph)
+    digest = hashlib.sha256(repr(bs).encode()).hexdigest()
+    assert (len(bs), digest) == GOLDEN_ENUMERATION[preset]
+
+
 # -- enumeration: exhaustive cross-check ----------------------------------
 
 
@@ -289,6 +315,62 @@ class TestExhaustiveOracle:
         expected = brute_force_keys(asp, 4, 4)
         got = {_branching_key(b) for b in enumerate_critical_branchings(asp)}
         assert got == expected
+
+
+def two_stuck_search(p):
+    """The branchings two stuck slices beyond an enumerated source that the
+    enumerator misses: its phase-2 generator applied twice."""
+    enumerated = enumerate_critical_branchings(p)
+    known = {_branching_key(b) for b in enumerated}
+    gens = p.signature.all_generators()
+    seen_once, seen_twice, missed = set(), set(), {}
+    for b in enumerated:
+        for once in _stuck_splices(b.source, gens):
+            once = canonical_form(once)
+            if (once.input_width, once.slices) in seen_once:
+                continue
+            seen_once.add((once.input_width, once.slices))
+            for twice in _stuck_splices(once, gens):
+                u = canonical_form(twice)
+                if (u.input_width, u.slices) in seen_twice:
+                    continue
+                seen_twice.add((u.input_width, u.slices))
+                for x in critical_pairs_on(p, u):
+                    if _branching_key(x) not in known:
+                        missed.setdefault(_branching_key(x), x)
+    return list(missed.values())
+
+
+class TestTwoStuckSlices:
+    def test_perm_misses_entangled_yang_baxter_pairs(self, s_empty):
+        # The enumerator splices one stuck slice into each overlap; these
+        # Yang-Baxter self-overlaps need two or three.  Each is still
+        # locally confluent.
+        missed = two_stuck_search(s_empty)
+        assert sorted(
+            (b.rules, print_diagram(b.source), tuple(sorted(b.occ1)),
+             tuple(sorted(b.occ2)))
+            for b in missed
+        ) == [
+            (("yb", "yb"),
+             "(tau * id 2) ; (id 1 * tau * id 1) ; (tau * id 2) ; "
+             "(id 2 * tau) ; (id 2 * tau) ; (id 1 * tau * id 1) ; "
+             "(tau * id 2)",
+             (0, 1, 2), (2, 5, 6)),
+            (("yb", "yb"),
+             "(tau * id 2) ; (id 1 * tau * id 1) ; (tau * id 2) ; "
+             "(id 2 * tau) ; (id 2 * tau) ; (id 2 * tau) ; "
+             "(id 1 * tau * id 1) ; (tau * id 2)",
+             (0, 1, 2), (2, 6, 7)),
+            (("yb", "yb"),
+             "(tau * id 3) ; (id 1 * tau * id 2) ; (tau * id 3) ; "
+             "(id 2 * tau * id 1) ; (id 3 * tau) ; (id 2 * tau * id 1) ; "
+             "(id 1 * tau * id 2) ; (tau * id 3)",
+             (0, 1, 2), (2, 6, 7)),
+        ]
+        for b in missed:
+            result = check_local_confluence(s_empty, b)
+            assert isinstance(result, ConfluenceDiagram)
 
 
 # -- minimality: closure-based reference ----------------------------------
@@ -375,6 +457,45 @@ class TestMinimality:
             assert len(whiskers) == 1, print_diagram(d)
             got = {_branching_key(b) for b in critical_pairs_on(p, d)}
             assert got == reference_keys(p, d), print_diagram(d)
+
+
+class TestCutsAndEnds:
+    """``_cuts`` and ``_ends`` walk an exchange class without building it;
+    the brute-force closure is their oracle."""
+
+    @pytest.mark.parametrize("preset, max_slices, max_width", [
+        ("mon", 4, 4),
+        ("s_empty", 6, 4),
+        ("sym_prime", 4, 4),
+        ("counit", 4, 3),
+    ])
+    def test_match_closure(self, request, preset, max_slices, max_width):
+        p = (counit_polygraph() if preset == "counit"
+             else request.getfixturevalue(preset))
+        for d in all_diagrams(p.signature, max_slices, max_width):
+            closure = exchange_closure_with_ids(d)
+            prefixes = {
+                frozenset(ids[:k])
+                for _, ids in closure for k in range(len(ids) + 1)
+            }
+            members = dict(closure)
+            # Per cut: whether top then rest is the closure's own member.
+            as_member = {}
+            for top, rest in _cuts(d):
+                key = frozenset(i for _, i in top)
+                assert key not in as_member, print_diagram(d)
+                slices = tuple(s for s, _ in top + rest)
+                assert slices in members, print_diagram(d)
+                as_member[key] = (
+                    members[slices] == tuple(i for _, i in top + rest)
+                )
+            assert prefixes <= as_member.keys(), print_diagram(d)
+            # The closure keeps one id order per slice sequence, so over
+            # ``eta ; eps ; eta ; eps`` it drops the loops' swapped order;
+            # a cut it lacks must come from such a dropped order.
+            assert not any(as_member[k] for k in as_member.keys() - prefixes)
+            ends = {i for _, ids in closure for i in ids[:1] + ids[-1:]}
+            assert _ends(d) == ends, print_diagram(d)
 
 
 # -- local confluence ------------------------------------------------------
