@@ -378,8 +378,13 @@ def decide_coherence(preset: Preset, t1: Trace, t2: Trace) -> Decision:
     """
     p = preset.polygraph
     equiv = congruence_equiv(p)
-    validate_trace(t1, equiv)
-    validate_trace(t2, equiv)
+    if preset.decision_mode == "aspherical":
+        validate_trace(t1, equiv)
+        validate_trace(t2, equiv)
+    else:
+        # braid_of_trace validates each trace as it walks it.
+        b1 = braid_of_trace(t1, p)
+        b2 = braid_of_trace(t2, p)
     evidence = {
         "preset": preset.name,
         "source1": print_diagram(t1.source),
@@ -391,8 +396,6 @@ def decide_coherence(preset: Preset, t1: Trace, t2: Trace) -> Decision:
         return Decision("NotParallel", evidence)
     if preset.decision_mode == "aspherical":
         return Decision("Equal", evidence)
-    b1 = braid_of_trace(t1, p)
-    b2 = braid_of_trace(t2, p)
     nf1, nf2 = garside_nf(b1), garside_nf(b2)
     evidence.update(
         braid1=str(b1),

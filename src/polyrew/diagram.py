@@ -384,9 +384,9 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
             yield ("punct", c, line, col)
             col += 1
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             yield ("nat", text[i:j], line, col)
             col += j - i
@@ -402,92 +402,82 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
             raise ParseError(f"unexpected character {c!r} at line {line}, column {col}")
 
 
-class _Parser:
-    """Recursive descent for: expr := term (';' term)* ;
-    term := atom ('*' atom)* ; atom := 'id' nat | ident | '(' expr ')'."""
-
-    def __init__(self, text: str, sig: Signature):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.sig = sig
-
-    def peek(self) -> tuple[str, str, int, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        tok = self.next()
-        if tok[1] != value:
-            raise ParseError(
-                f"expected {value!r} but found {tok[1]!r} at line {tok[2]}, column {tok[3]}"
-            )
-
-    def parse(self) -> Diagram:
-        d = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(
-                f"trailing input {tok[1]!r} at line {tok[2]}, column {tok[3]}"
-            )
-        return d
-
-    def expr(self) -> Diagram:
-        d = self.term()
-        while self.peek() is not None and self.peek()[1] == ";":
-            self.next()
-            t = self.term()
-            if d.output_width != t.input_width:
-                raise ParseError(
-                    f"width mismatch in ';': {d.output_width} vs {t.input_width}"
-                )
-            d = d.vcomp(t)
-        return d
-
-    def term(self) -> Diagram:
-        d = self.atom()
-        while self.peek() is not None and self.peek()[1] == "*":
-            self.next()
-            d = d.hcomp(self.atom())
-        return d
-
-    def atom(self) -> Diagram:
-        kind, value, line, col = self.next()
-        if value == "(":
-            d = self.expr()
-            self.expect(")")
-            return d
-        if value == "id":
-            tok = self.next()
-            if tok[0] != "nat":
-                raise ParseError(
-                    f"expected a natural after 'id' at line {tok[2]}, column {tok[3]}"
-                )
-            return identity(int(tok[1]))
-        if kind == "ident":
-            try:
-                gen = self.sig.lookup(value)
-            except DiagramError:
-                raise ParseError(
-                    f"unknown generator {value!r} at line {line}, column {col}"
-                ) from None
-            return generator_diagram(gen)
-        raise ParseError(f"unexpected token {value!r} at line {line}, column {col}")
-
-
 def parse_diagram(text: str, sig: Signature) -> Diagram:
     """Parse a diagram expression over ``sig``.
 
     Grammar: ``expr := term (';' term)*``, ``term := atom ('*' atom)*``,
     ``atom := 'id' nat | ident | '(' expr ')'``.  ``;`` is vertical
     composition read top to bottom, ``*`` horizontal read left to right.
+    One loop with an explicit stack, so nesting depth is bounded by memory
+    and not by the interpreter's recursion limit.
     """
-    return _Parser(text, sig).parse()
+    tokens = list(_tokenize(text)) + [("end", "", 0, 0)]
+    pos = 0
+    # One frame per open parenthesis: the finished terms of its ';' chain
+    # and the atoms of its current '*' term.
+    stack = [([], [])]
+    while True:
+        kind, value, line, col = tokens[pos]
+        pos += 1
+        if kind == "end":
+            raise ParseError("unexpected end of input")
+        if value == "(":
+            stack.append(([], []))
+            continue
+        if value == "id":
+            kind, value, line, col = tokens[pos]
+            pos += 1
+            if kind == "end":
+                raise ParseError("unexpected end of input")
+            if kind != "nat":
+                raise ParseError(
+                    f"expected a natural after 'id' at line {line}, column {col}"
+                )
+            atom = identity(int(value))
+        elif kind == "ident":
+            try:
+                atom = generator_diagram(sig.lookup(value))
+            except DiagramError:
+                raise ParseError(
+                    f"unknown generator {value!r} at line {line}, column {col}"
+                ) from None
+        else:
+            raise ParseError(f"unexpected token {value!r} at line {line}, column {col}")
+        stack[-1][1].append(atom)
+        # After an atom: '*' extends the term and anything else ends it;
+        # each ')' then closes a frame into one atom of the frame below.
+        while True:
+            kind, value, line, col = tokens[pos]
+            if value == "*":
+                pos += 1
+                break
+            terms, atoms = stack[-1]
+            t = hcomp(*atoms)
+            atoms.clear()
+            if terms and terms[-1].output_width != t.input_width:
+                raise ParseError(f"width mismatch in ';': "
+                                 f"{terms[-1].output_width} vs {t.input_width}")
+            terms.append(t)
+            if value == ";":
+                pos += 1
+                break
+            chain = terms[0] if len(terms) == 1 else Diagram(
+                terms[0].input_width, [s for term in terms for s in term.slices])
+            if len(stack) == 1:
+                if kind != "end":
+                    raise ParseError(
+                        f"trailing input {value!r} at line {line}, column {col}"
+                    )
+                return chain
+            if kind == "end":
+                raise ParseError("unexpected end of input")
+            if value != ")":
+                raise ParseError(
+                    f"expected ')' but found {value!r} at line {line}, column {col}"
+                )
+            pos += 1
+            stack.pop()
+            stack[-1][1].append(chain)
 
 
 def print_diagram(d: Diagram) -> str:

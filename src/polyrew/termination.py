@@ -138,7 +138,7 @@ class _ExprParser:
             right = self.expr()
             self.expect(")")
             return Max(left, right)
-        if tok.isdigit():
+        if tok.isdecimal():
             return Const(int(tok))
         if tok in self.variables:
             return Var(self.variables.index(tok))

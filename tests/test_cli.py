@@ -55,13 +55,22 @@ class TestNormalize:
         assert code == 2
         assert "error:" in err
 
-    def test_deep_nesting_exits_2(self, capsys):
-        # The recursive-descent parser runs out of stack on this input.
+    def test_deep_nesting_parses(self, capsys):
         expr = "(" * 1500 + "mu" + ")" * 1500
-        code, out, err = run(capsys, "normalize", "--preset", "mon", "--expr", expr)
+        code, out, err = run(
+            capsys, "normalize", "--preset", "mon", "--expr", expr,
+            "--format", "json",
+        )
+        assert code == 0, err
+        assert json.loads(out)["normal_form"] == "mu"
+
+    def test_unicode_digit_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "normalize", "--preset", "mon", "--expr", "id \u00b2"
+        )
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "RecursionError" in err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCritical:
@@ -123,6 +132,30 @@ class TestTermination:
             "--interp", str(interp),
         )
         assert code == 0
+
+    def test_deep_interp_exits_2(self, capsys, tmp_path):
+        # The interpretation expression parser still recurses per parenthesis.
+        interp = tmp_path / "deep.interp"
+        interp.write_text(
+            "interp for Mon\n"
+            f"X mu (i, j) = {'(' * 1500}i{')' * 1500}\n"
+        )
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: input too large (RecursionError)\n"
+
+    def test_unicode_digit_exits_2(self, capsys, tmp_path):
+        interp = tmp_path / "digit.interp"
+        interp.write_text("interp for Mon\nX mu (i, j) = i + \u00b2\n")
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_no_interp_available(self, capsys):
         code, _, err = run(capsys, "termination", "--preset", "perm")
@@ -270,6 +303,14 @@ class TestExport:
         for r_back, r_orig in zip(back.rules, mon.rules):
             assert diagram_equal(r_back.lhs, r_orig.lhs)
             assert diagram_equal(r_back.rhs, r_orig.rhs)
+
+    def test_unicode_digit_in_file_exits_2(self, capsys, tmp_path):
+        poly = tmp_path / "digit.poly"
+        poly.write_text("gen mu : 2 -> 1\nrule a : id \u00b2 => id 1\n")
+        code, out, err = run(capsys, "critical", "--polygraph", str(poly))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_file_polygraph_input(self, capsys, tmp_path):
         poly = tmp_path / "as.poly"

@@ -22,6 +22,7 @@ from polyrew.diagram import (
     TAU,
     _cuts,
     _ends,
+    _fronts,
     canonical_form,
     diagram_equal,
     exchange_closure,
@@ -57,6 +58,7 @@ from polyrew.critical import (
 from polyrew.termination import mon_interpretation
 
 from conftest import make_as_polygraph, make_mon_polygraph
+from test_diagram import all_diagrams as every_diagram
 
 
 # -- shared presets --------------------------------------------------------
@@ -496,6 +498,55 @@ class TestCutsAndEnds:
             assert not any(as_member[k] for k in as_member.keys() - prefixes)
             ends = {i for _, ids in closure for i in ids[:1] + ids[-1:]}
             assert _ends(d) == ends, print_diagram(d)
+
+
+def slice_orders(d):
+    """Every slice order of ``d``'s exchange class as ``(slice, index)``
+    entries: one per path through ``_fronts``, so none is deduplicated."""
+    orders, stack = [], [([], [(s, i) for i, s in enumerate(d.slices)])]
+    while stack:
+        done, rest = stack.pop()
+        if not rest:
+            orders.append(done)
+        for f, f_id, tail in _fronts(rest):
+            stack.append((done + [(f, f_id)], tail))
+    return orders
+
+
+def occurrences_over_orders(d, pattern):
+    """The occurrence sets of ``pattern`` read off every slice order of ``d``."""
+    pat = canonical_form(pattern)
+    k = len(pat)
+    found = set()
+    for order in slice_orders(d):
+        w = d.input_width
+        for i, (s, _) in enumerate(order[:len(order) - k + 1]):
+            shift = s.offset - pat.slices[0].offset
+            window = order[i: i + k]
+            if 0 <= shift <= w - pat.input_width and all(
+                ws == Slice(ps.offset + shift, ps.gen)
+                for (ws, _), ps in zip(window, pat.slices)
+            ):
+                found.add(frozenset(j for _, j in window))
+            w += s.gen.coarity - s.gen.arity
+    return found
+
+
+def test_find_matches_reads_every_slice_order():
+    # The closure keeps one id order per slice sequence; over
+    # ``eta ; eps ; eta ; eps`` it drops one.  Matching must not lose an
+    # occurrence set that only a dropped order shows.
+    p = counit_polygraph()
+    seen = set()
+    for d in every_diagram(p.signature, 4, 1):
+        u = canonical_form(d)
+        if u in seen:
+            continue
+        seen.add(u)
+        for r in p.rules:
+            got = {m.occurrences for m in find_matches(u, r.lhs)}
+            assert got == occurrences_over_orders(u, r.lhs), (
+                r.name, print_diagram(u))
 
 
 # -- local confluence ------------------------------------------------------

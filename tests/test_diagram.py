@@ -294,3 +294,34 @@ class TestGrammar:
     def test_width_mismatch(self, mon_sig):
         with pytest.raises(ParseError, match="width mismatch"):
             parse_diagram("mu ; mu", mon_sig)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected end of input"),
+        ("mu ;", "unexpected end of input"),
+        ("((mu * id 1) ; mu", "unexpected end of input"),
+        ("mu ; (eta", "unexpected end of input"),
+        ("(mu mu)", "expected ')' but found 'mu' at line 1, column 5"),
+        ("(id 1 * mu eta", "expected ')' but found 'eta' at line 1, column 12"),
+        ("mu )", "trailing input ')' at line 1, column 4"),
+        ("mu eta", "trailing input 'eta' at line 1, column 4"),
+        ("id", "unexpected end of input"),
+        ("id mu", "expected a natural after 'id' at line 1, column 4"),
+        ("mu ;\n  id x", "expected a natural after 'id' at line 2, column 6"),
+        ("mu * nu", "unknown generator 'nu' at line 1, column 6"),
+        (";", "unexpected token ';' at line 1, column 1"),
+        ("mu * * eta", "unexpected token '*' at line 1, column 6"),
+        ("()", "unexpected token ')' at line 1, column 2"),
+        ("(mu ; eta)", "width mismatch in ';': 1 vs 0"),
+        ("mu ; mu ; )", "width mismatch in ';': 1 vs 2"),
+        ("(mu ; mu) ; !", "unexpected character '!' at line 1, column 13"),
+        ("mu ( !", "unexpected character '!' at line 1, column 6"),
+    ])
+    def test_error_messages(self, mon_sig, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_diagram(text, mon_sig)
+        assert str(exc.value) == message
+
+    def test_deep_nesting(self, mon_sig):
+        depth = 100_000
+        d = parse_diagram("(" * depth + "mu" + ")" * depth, mon_sig)
+        assert d == generator_diagram(MU)
