@@ -29,9 +29,6 @@ from .diagram import (
     TAU,
     canonical_form,
     diagram_equal,
-    generator_diagram,
-    hcomp,
-    identity,
     parse_diagram,
     print_diagram,
     vcomp,
@@ -202,17 +199,20 @@ def congruence_equiv(p: Polygraph):
 def _evaluate_trees(d: Diagram):
     """Per output wire of ``d``: the expression tree it carries.
 
-    A tree is ``("leaf", i)`` for input wire ``i`` or ``("node", gen,
-    children)``.  The crossing permutes trees; every other generator must
-    have coarity 1 and combines its argument trees into a node.
+    A tree is ``(gen, children, leaves)``, where ``leaves`` lists the input
+    wires under it from left to right; input wire ``i`` is
+    ``(None, (), (i,))``.  The crossing permutes trees; every other
+    generator must have coarity 1 and combines its argument trees into a
+    node.
     """
-    values = [("leaf", i) for i in range(d.input_width)]
+    values = [(None, (), (i,)) for i in range(d.input_width)]
     for s in d.slices:
         args = values[s.offset: s.offset + s.gen.arity]
         if s.gen.name == "tau":
             out = [args[1], args[0]]
         elif s.gen.coarity == 1:
-            out = [("node", s.gen, tuple(args))]
+            leaves = tuple(x for arg in args for x in arg[2])
+            out = [(s.gen, tuple(args), leaves)]
         else:
             raise CoherenceError(
                 f"not an algebraic 2-cell: generator {s.gen.name} has "
@@ -220,12 +220,6 @@ def _evaluate_trees(d: Diagram):
             )
         values[s.offset: s.offset + s.gen.arity] = out
     return values
-
-
-def _leaves(tree) -> tuple[int, ...]:
-    if tree[0] == "leaf":
-        return (tree[1],)
-    return tuple(x for child in tree[2] for x in _leaves(child))
 
 
 @dataclass(frozen=True)
@@ -243,15 +237,7 @@ def leaf_bundles(d: Diagram) -> BundleState:
     The result is invariant under exchange and under all structural S-rules,
     which is what makes the braid of a step well defined.
     """
-    return BundleState(tuple(_leaves(t) for t in _evaluate_trees(d)))
-
-
-def _tree_diagram(tree) -> Diagram:
-    if tree[0] == "leaf":
-        return identity(1)
-    children = tree[2]
-    top = hcomp(*(map(_tree_diagram, children))) if children else identity(0)
-    return vcomp(top, generator_diagram(tree[1]))
+    return BundleState(tuple(t[2] for t in _evaluate_trees(d)))
 
 
 def perm_diagram(perm: tuple[int, ...]) -> Diagram:
@@ -279,11 +265,18 @@ def decompose_algebraic(d: Diagram) -> tuple[tuple[int, ...], Diagram]:
     congruence.
     """
     trees = _evaluate_trees(d)
-    sigma = tuple(x for t in trees for x in _leaves(t))
-    pure = (
-        hcomp(*(map(_tree_diagram, trees))) if trees else identity(0)
-    )
-    return sigma, canonical_form(pure)
+    sigma = tuple(x for t in trees for x in t[2])
+    # ``pure`` fires each tree's generators children first, left to right,
+    # a node at the offset of its leftmost child: the reverse of a walk that
+    # visits each node before its children, right to left.
+    stack = [(t, j) for j, t in enumerate(trees)]
+    slices = []
+    while stack:
+        (gen, children, _), offset = stack.pop()
+        if gen is not None:
+            slices.append(Slice(offset, gen))
+            stack.extend((c, offset + j) for j, c in enumerate(children))
+    return sigma, canonical_form(Diagram(len(sigma), slices[::-1]))
 
 
 # -- the braid invariant ---------------------------------------------------

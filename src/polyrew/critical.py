@@ -266,7 +266,8 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     if any(_outer_whiskers(u)):
         return []
     ends = _ends(u)
-    matches = [(r, m) for r in p.rules for m in find_matches(u, r.lhs)]
+    matches = [(p.rules[m.pattern], m)
+               for m in find_matches(u, *(r.lhs for r in p.rules))]
     out = []
     for i, (r1, m1) in enumerate(matches):
         for r2, m2 in matches[i + 1:]:
@@ -466,13 +467,11 @@ def _moves_modulo_structure(d: Diagram, p: Polygraph):
     A rule whose right side is an identity (``sym``) is not reversed: its
     backward step could insert a crossing pair on any two wires.
     """
-    for rule in p.rules:
-        for m in find_matches(d, rule.lhs):
-            yield Step(rule, "forward", m.context)
-    for rule in structural_rules(p):
-        if len(rule.rhs):
-            for m in find_matches(d, rule.rhs):
-                yield Step(rule, "backward", m.context)
+    moves = [(r, "forward") for r in p.rules] + [
+        (r, "backward") for r in structural_rules(p) if len(r.rhs)]
+    for m in find_matches(d, *(r.side(way) for r, way in moves)):
+        rule, way = moves[m.pattern]
+        yield Step(rule, way, m.context)
 
 
 def close_modulo_structure(

@@ -167,17 +167,11 @@ class Diagram:
 
     def vcomp(self, other: "Diagram") -> "Diagram":
         """Vertical composite ``self ⋆₁ other`` (self on top)."""
-        if self.output_width != other.input_width:
-            raise DiagramError(
-                f"vertical composition mismatch: output width "
-                f"{self.output_width} vs input width {other.input_width}"
-            )
-        return Diagram(self.input_width, self.slices + other.slices)
+        return vcomp(self, other)
 
     def hcomp(self, other: "Diagram") -> "Diagram":
         """Horizontal composite ``self ⋆₀ other`` (self on the left)."""
-        shifted = tuple(s.shifted(self.output_width) for s in other.slices)
-        return Diagram(self.input_width + other.input_width, self.slices + shifted)
+        return hcomp(self, other)
 
 
 def identity(n: int) -> Diagram:
@@ -191,23 +185,27 @@ def generator_diagram(gen: GeneratorSym) -> Diagram:
 
 
 def vcomp(*ds: Diagram) -> Diagram:
-    """Vertical composite of any number of diagrams, top to bottom."""
+    """Vertical composite of any number of diagrams, top to bottom, built
+    once; the first adjacent pair whose widths differ raises."""
     if not ds:
         raise DiagramError("vcomp needs at least one diagram")
-    out = ds[0]
-    for d in ds[1:]:
-        out = out.vcomp(d)
-    return out
+    for upper, lower in zip(ds, ds[1:]):
+        if upper.output_width != lower.input_width:
+            raise DiagramError(
+                f"vertical composition mismatch: output width "
+                f"{upper.output_width} vs input width {lower.input_width}"
+            )
+    return Diagram(ds[0].input_width, [s for d in ds for s in d.slices])
 
 
 def hcomp(*ds: Diagram) -> Diagram:
-    """Horizontal composite of any number of diagrams, left to right."""
-    if not ds:
-        return identity(0)
-    out = ds[0]
-    for d in ds[1:]:
-        out = out.hcomp(d)
-    return out
+    """Horizontal composite of any number of diagrams, left to right, built
+    once: each operand is shifted by the output widths to its left."""
+    slices, left = [], 0
+    for d in ds:
+        slices.extend(s.shifted(left) for s in d.slices)
+        left += d.output_width
+    return Diagram(sum(d.input_width for d in ds), slices)
 
 
 # -- exchange -------------------------------------------------------------
@@ -461,8 +459,7 @@ def parse_diagram(text: str, sig: Signature) -> Diagram:
             if value == ";":
                 pos += 1
                 break
-            chain = terms[0] if len(terms) == 1 else Diagram(
-                terms[0].input_width, [s for term in terms for s in term.slices])
+            chain = vcomp(*terms)
             if len(stack) == 1:
                 if kind != "end":
                     raise ParseError(

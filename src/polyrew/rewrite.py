@@ -7,8 +7,9 @@ one-hole :class:`Context`, and a :class:`Trace` — a source diagram plus a
 sequence of steps — represents a 3-cell of the free track 3-category.
 
 Matching works modulo exchange: the closure of the subject diagram is
-enumerated and the pattern's canonical slice sequence is looked up as a
-consecutive window under a uniform offset shift.  This is exponential in the
+enumerated once, and every pattern's canonical slice sequence is looked up
+in each member as a consecutive window under a uniform offset shift, so one
+closure pass serves all the rules of a polygraph.  This is exponential in the
 number of commuting slices but complete, which is what the critical-pair
 machinery needs; diagrams in scope stay small.
 
@@ -159,55 +160,63 @@ class Match:
 
     ``occurrences`` are indices into the canonical form of the subject
     diagram, identifying which generator occurrences the pattern covers; they
-    are what branching enumeration overlaps on.
+    are what branching enumeration overlaps on.  ``pattern`` is the index of
+    the matched pattern among those given to :func:`find_matches`.
     """
 
     context: Context
     occurrences: frozenset[int]
+    pattern: int = 0
 
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.occurrences))
 
 
-def find_matches(d: Diagram, pattern: Diagram) -> list[Match]:
-    """Every occurrence of ``pattern`` in ``d`` modulo exchange.
+def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
+    """Every occurrence of each of ``patterns`` in ``d`` modulo exchange.
 
-    Deduplicated by matched-occurrence set, ordered by occurrence positions
-    in the canonical slice numbering of ``d`` (leftmost-uppermost first).
+    One pass over the exchange closure of ``d`` serves every pattern.
+    Deduplicated by pattern and matched-occurrence set; ordered by pattern,
+    then by occurrence positions in the canonical slice numbering of ``d``
+    (leftmost-uppermost first).  No patterns, no matches.
     """
-    if len(pattern) < 1:
+    if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
+    if not patterns:
+        return []
     subject = canonical_form(d)
-    pat = canonical_form(pattern)
-    k = len(pat)
-    found: dict[frozenset[int], Context] = {}
+    pats = [canonical_form(pattern) for pattern in patterns]
+    found: dict[tuple[int, frozenset[int]], Context] = {}
     for slices, ids in exchange_closure_with_ids(subject):
         widths = [subject.input_width]
         for s in slices:
             widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
-        for i in range(len(slices) - k + 1):
-            shift = slices[i].offset - pat.slices[0].offset
-            if shift < 0:
-                continue
-            if any(
-                slices[i + j].gen != pat.slices[j].gen
-                or slices[i + j].offset != pat.slices[j].offset + shift
-                for j in range(k)
-            ):
-                continue
-            right = widths[i] - shift - pat.input_width
-            if right < 0:
-                continue
-            occ = frozenset(ids[i: i + k])
-            if occ in found:
-                continue
-            top = Diagram(subject.input_width, slices[:i])
-            bottom = Diagram(
-                widths[i] - pat.input_width + pat.output_width, slices[i + k:]
-            )
-            found[occ] = Context(top, shift, right, bottom)
-    matches = [Match(ctx, occ) for occ, ctx in found.items()]
-    matches.sort(key=Match.key)
+        for n, pat in enumerate(pats):
+            k = len(pat)
+            for i in range(len(slices) - k + 1):
+                shift = slices[i].offset - pat.slices[0].offset
+                if shift < 0:
+                    continue
+                if any(
+                    slices[i + j].gen != pat.slices[j].gen
+                    or slices[i + j].offset != pat.slices[j].offset + shift
+                    for j in range(k)
+                ):
+                    continue
+                right = widths[i] - shift - pat.input_width
+                if right < 0:
+                    continue
+                key = (n, frozenset(ids[i: i + k]))
+                if key in found:
+                    continue
+                top = Diagram(subject.input_width, slices[:i])
+                bottom = Diagram(
+                    widths[i] - pat.input_width + pat.output_width,
+                    slices[i + k:],
+                )
+                found[key] = Context(top, shift, right, bottom)
+    matches = [Match(ctx, occ, n) for (n, occ), ctx in found.items()]
+    matches.sort(key=lambda m: (m.pattern, m.key()))
     return matches
 
 
@@ -329,16 +338,12 @@ def normalize(
     """
     if rules is None:
         rules = p.rules
+    lhss = [rule.lhs for rule in rules]
     current = d
     steps: list[Step] = []
     while True:
-        chosen: Step | None = None
-        for rule in rules:
-            ms = find_matches(current, rule.lhs)
-            if ms:
-                chosen = Step(rule, "forward", ms[0].context)
-                break
-        if chosen is None:
+        ms = find_matches(current, *lhss)
+        if not ms:
             return current, Trace(d, tuple(steps))
         if len(steps) >= budget:
             raise BudgetExceededError(
@@ -346,6 +351,7 @@ def normalize(
                 f"(nontermination suspected)",
                 Trace(d, tuple(steps)),
             )
+        chosen = Step(rules[ms[0].pattern], "forward", ms[0].context)
         steps.append(chosen)
         current = chosen.target()
 

@@ -194,22 +194,11 @@ class Interpretation:
             self.d_of(g.name)
 
 
-def eval_X(d: Diagram, inputs: list[int], interp: Interpretation) -> list[int]:
-    """Propagate input values through ``d`` slice by slice."""
-    if len(inputs) != d.input_width:
-        raise TerminationError(
-            f"expected {d.input_width} input values, got {len(inputs)}"
-        )
-    values = list(inputs)
-    for s in d.slices:
-        args = tuple(values[s.offset: s.offset + s.gen.arity])
-        outs = [e.eval(args) for e in interp.x_of(s.gen.name)]
-        values[s.offset: s.offset + s.gen.arity] = outs
-    return values
-
-
-def eval_deriv(d: Diagram, inputs: list[int], interp: Interpretation) -> int:
-    """The derivation ∂ of ``d`` at the given input values."""
+def _walk(d: Diagram, inputs: list[int],
+          interp: Interpretation) -> tuple[list[int], int]:
+    """Propagate input values through ``d`` slice by slice; return the
+    output values and the derivation ∂, each slice's weight evaluated at
+    the values reaching its inputs."""
     if len(inputs) != d.input_width:
         raise TerminationError(
             f"expected {d.input_width} input values, got {len(inputs)}"
@@ -221,7 +210,17 @@ def eval_deriv(d: Diagram, inputs: list[int], interp: Interpretation) -> int:
         total += interp.d_of(s.gen.name).eval(args)
         outs = [e.eval(args) for e in interp.x_of(s.gen.name)]
         values[s.offset: s.offset + s.gen.arity] = outs
-    return total
+    return values, total
+
+
+def eval_X(d: Diagram, inputs: list[int], interp: Interpretation) -> list[int]:
+    """Propagate input values through ``d`` slice by slice."""
+    return _walk(d, inputs, interp)[0]
+
+
+def eval_deriv(d: Diagram, inputs: list[int], interp: Interpretation) -> int:
+    """The derivation ∂ of ``d`` at the given input values."""
+    return _walk(d, inputs, interp)[1]
 
 
 # -- the grid certificate -------------------------------------------------
@@ -279,15 +278,12 @@ def check_decrease(p: Polygraph, interp: Interpretation) -> CertificateReport:
         failing = None
         detail = ""
         for tup in itertools.product(range(1, bound + 1), repeat=m):
-            inputs = list(tup)
-            xl = eval_X(rule.lhs, inputs, interp)
-            xr = eval_X(rule.rhs, inputs, interp)
+            xl, dl = _walk(rule.lhs, list(tup), interp)
+            xr, dr = _walk(rule.rhs, list(tup), interp)
             if any(a < b for a, b in zip(xl, xr)):
                 failing = tup
                 detail = f"X values {xl} vs {xr}"
                 break
-            dl = eval_deriv(rule.lhs, inputs, interp)
-            dr = eval_deriv(rule.rhs, inputs, interp)
             if not dl > dr:
                 failing = tup
                 detail = f"∂ values {dl} vs {dr}"

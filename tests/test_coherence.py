@@ -150,6 +150,21 @@ class TestLeafBundles:
             leaf_bundles(generator_diagram(GeneratorSym("delta", 1, 2)))
 
 
+class TestDeepTrees:
+    """Leaf bundles and the decomposition walk trees without recursion."""
+
+    def left_comb(self, n):
+        return Diagram(n + 1, (Slice(0, SIG.lookup("mu")),) * n)
+
+    def test_leaf_bundles_of_deep_comb(self):
+        assert leaf_bundles(self.left_comb(2000)).bundles == (
+            tuple(range(2001)),)
+
+    def test_decompose_deep_comb(self):
+        comb = self.left_comb(1200)
+        assert decompose_algebraic(comb) == (tuple(range(1201)), comb)
+
+
 # -- decomposition ---------------------------------------------------------
 
 

@@ -261,6 +261,25 @@ def test_golden_enumeration(preset):
     assert (len(bs), digest) == GOLDEN_ENUMERATION[preset]
 
 
+#: Counts of ``closures`` and ``unclosed``, and SHA-256 of
+#: ``repr((closures, unclosed))`` from the pipeline, per preset: the order of
+#: the moves modulo structure decides which join the search returns.
+GOLDEN_MODULO_STRUCTURE = {
+    "sym": (3, 2, "6e46590a5c2631824e3c0f45d62376b86ddf5b3e643ff1c6e73ea921f7895982"),
+    "sym_prime": (
+        5, 0, "fbd92295288c98b90e460ad134643095383637f9acd7968912f79c09094b1794"),
+}
+
+
+@pytest.mark.parametrize("preset", list(GOLDEN_MODULO_STRUCTURE))
+def test_golden_modulo_structure_joins(preset):
+    report = asphericity_pipeline(get_preset(preset).polygraph)
+    found = (report.closures, report.unclosed)
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert (len(found[0]), len(found[1]), digest) == (
+        GOLDEN_MODULO_STRUCTURE[preset])
+
+
 # -- enumeration: exhaustive cross-check ----------------------------------
 
 

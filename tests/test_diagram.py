@@ -102,6 +102,70 @@ class TestConstruction:
         assert d.hcomp(identity(0)) == d
 
 
+def pairwise_hcomp(ds):
+    """The left fold of binary horizontal composites."""
+    out = identity(0)
+    for d in ds:
+        shifted = tuple(s.shifted(out.output_width) for s in d.slices)
+        out = Diagram(out.input_width + d.input_width, out.slices + shifted)
+    return out
+
+
+def pairwise_vcomp(ds):
+    """The left fold of binary vertical composites, checked pair by pair."""
+    out = ds[0]
+    for d in ds[1:]:
+        if out.output_width != d.input_width:
+            raise DiagramError(
+                f"vertical composition mismatch: output width "
+                f"{out.output_width} vs input width {d.input_width}"
+            )
+        out = Diagram(out.input_width, out.slices + d.slices)
+    return out
+
+
+def outcome(compose, ds):
+    try:
+        return compose(*ds)
+    except DiagramError as exc:
+        return str(exc)
+
+
+class TestNaryComposition:
+    """``hcomp`` and ``vcomp`` build one diagram from all their operands;
+    they must agree with the binary folds, errors included."""
+
+    def test_hcomp_matches_pairwise_fold(self, mon_sig):
+        rng = random.Random(53)
+        for _ in range(300):
+            ds = [random_diagram(mon_sig, rng) for _ in range(rng.randint(0, 5))]
+            assert hcomp(*ds) == pairwise_hcomp(ds)
+
+    def test_vcomp_matches_pairwise_fold(self, mon_sig):
+        rng = random.Random(59)
+        mismatches = 0
+        for _ in range(300):
+            # Cut one diagram into pieces, so most chains compose; then
+            # swap in a random diagram now and then to break a joint.
+            d = random_diagram(mon_sig, rng)
+            cuts = sorted(rng.randint(0, len(d)) for _ in range(rng.randint(0, 3)))
+            bounds = [0] + cuts + [len(d)]
+            ds, w = [], d.input_width
+            for lo, hi in zip(bounds, bounds[1:]):
+                ds.append(Diagram(w, d.slices[lo:hi]))
+                w = ds[-1].output_width
+            if rng.random() < 0.5:
+                ds[rng.randrange(len(ds))] = random_diagram(mon_sig, rng)
+            want = outcome(lambda *xs: pairwise_vcomp(xs), ds)
+            assert outcome(vcomp, ds) == want
+            mismatches += isinstance(want, str)
+        assert 0 < mismatches < 300
+
+    def test_long_star_term_parses_in_one_composite(self, mon_sig):
+        d = parse_diagram(" * ".join(["mu"] * 4000), mon_sig)
+        assert d.slices == tuple(Slice(i, MU) for i in range(4000))
+
+
 class TestCanonicalForm:
     def test_spec_example(self):
         # [(2, mu), (0, mu)] at width 4 exchanges to [(0, mu), (1, mu)].

@@ -1,5 +1,6 @@
 """Tests for matching, steps, normalization, and traces."""
 
+import dataclasses
 import itertools
 import random
 
@@ -37,7 +38,11 @@ from polyrew.rewrite import (
     print_trace,
     validate_trace,
 )
+import polyrew.rewrite
+from polyrew.coherence import get_preset
+from polyrew.critical import critical_pairs_on
 from conftest import MU
+from test_critical import counit_polygraph
 from test_diagram import all_diagrams, random_diagram
 
 
@@ -135,6 +140,54 @@ class TestFindMatches:
         a = find_matches(d, p.rule("alpha").lhs)
         b = find_matches(d, p.rule("alpha").lhs)
         assert [m.occurrences for m in a] == [m.occurrences for m in b]
+
+
+class TestOneClosurePerSubject:
+    """``find_matches`` with several patterns reads one exchange closure and
+    gives what one call per pattern would, in pattern order."""
+
+    @pytest.mark.parametrize("p, max_slices, max_width", [
+        (get_preset("mon").polygraph, 3, 3),
+        (get_preset("sym_prime").polygraph, 3, 3),
+        (counit_polygraph(), 3, 2),
+    ], ids=["mon", "sym_prime", "counit"])
+    def test_matches_single_pattern_calls(self, p, max_slices, max_width):
+        pats = [side for r in p.rules for side in (r.lhs, r.rhs) if len(side)]
+        for d in all_diagrams(p.signature, max_slices, max_width):
+            single = [
+                dataclasses.replace(m, pattern=n)
+                for n, pat in enumerate(pats) for m in find_matches(d, pat)
+            ]
+            assert find_matches(d, *pats) == single, print_diagram(d)
+
+    def test_no_patterns(self, mon_polygraph):
+        d = parse_diagram("(mu * id 1) ; mu", mon_polygraph.signature)
+        assert find_matches(d) == []
+        assert normalize(d, Polygraph(mon_polygraph.signature, ())) == (
+            d, Trace(d))
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+        build = polyrew.rewrite.exchange_closure_with_ids
+
+        def counting(d):
+            calls.append(d)
+            return build(d)
+
+        monkeypatch.setattr(polyrew.rewrite, "exchange_closure_with_ids", counting)
+        return calls
+
+    def test_normalize_builds_one_closure_per_step(self, mon_polygraph, closures):
+        d = parse_diagram("mu * mu * mu", mon_polygraph.signature)
+        nf, trace = normalize(d, mon_polygraph)
+        assert (nf, trace.steps) == (d, ())
+        assert len(closures) == 1
+
+    def test_critical_pairs_on_builds_one_closure(self, mon_polygraph, closures):
+        d = parse_diagram("(mu * id 2) ; (mu * id 1) ; mu", mon_polygraph.signature)
+        assert len(critical_pairs_on(mon_polygraph, d)) == 1
+        assert len(closures) == 1
 
 
 class TestSteps:
