@@ -55,13 +55,13 @@ def main() -> None:
         Step(beta, "forward", Context(one_tau, 0, 1, q("mu"))),
         Step(alpha, "forward", Context(one_tau, 0, 0, identity(1))),
         Step(beta, "forward", Context(identity(3), 1, 0, q("mu"))),
-    ), "prop")
+    ))
     leg2 = Trace(source, (
         Step(alpha, "forward",
              Context(q("(id 1 * tau) ; (tau * id 1)"), 0, 0, identity(1))),
         Step(beta, "forward", Context(q("mu * id 1"), 0, 0, identity(1))),
         Step(alpha, "forward", Context(identity(3), 0, 0, identity(1))),
-    ), "prop")
+    ))
     b1, b2 = braid_of_trace(leg1), braid_of_trace(leg2)
     print(f"  leg 1 braid: {b1}   leg 2 braid: {b2}")
     print(f"  decision: {decide_coherence(BR, leg1, leg2).outcome}")
@@ -69,11 +69,11 @@ def main() -> None:
     print("\n== A square that does not ==")
     src = q("tau ; mu")
     m = find_matches(src, beta.lhs)[0]
-    t1 = Trace(src, (Step(beta, "forward", m.context),), "prop")
+    t1 = Trace(src, (Step(beta, "forward", m.context),))
     t2 = Trace(src, (
         Step(beta, "backward", Context(q("tau"), 0, 0, identity(1))),
         Step(sym, "forward", Context(identity(2), 0, 0, q("mu"))),
-    ), "prop")
+    ))
     w1, w2 = braid_of_trace(t1), braid_of_trace(t2)
     print(f"  direct beta:             braid {w1}  (Garside {garside_nf(w1)})")
     print(f"  inverse under crossing:  braid {w2}  (Garside {garside_nf(w2)})")

@@ -427,4 +427,4 @@ def whisker_top(t: Trace, top: Diagram) -> Trace:
             Step(s.rule, s.direction,
                  Context(vcomp(top, c.top), c.left, c.right, c.bottom))
         )
-    return Trace(vcomp(top, t.source), tuple(steps), t.congruence)
+    return Trace(vcomp(top, t.source), tuple(steps))

@@ -7,9 +7,9 @@ consecutive block of one with a window of the other (same generators, a
 uniform horizontal shift) produces a candidate overlap, which is then
 trimmed, verified by the matcher, and deduplicated by canonical form.
 Entangled sources, where a slice outside both redexes is stuck between
-them, come from splicing one such stuck slice into each overlap.  The
-candidates are validated against an independent exhaustive search on the
-small presets in the test suite.
+them, come from splicing into each padded overlap one slice that stays
+stuck between its neighbours.  The candidates are validated against an
+independent exhaustive search on the small presets in the test suite.
 
 ``s_construction`` extends an algebraic presentation (all generators of
 coarity 1) to a prop presentation: it adjoins the symmetry ``tau`` together
@@ -34,6 +34,7 @@ from .diagram import (
     TAU,
     _cuts,
     _ends,
+    _reaches_end,
     canonical_form,
     diagram_equal,
     exchange_closure,
@@ -257,10 +258,10 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     matches (a peelable top/bottom context).  Slices outside the union that
     are stuck *between* the redexes are allowed: they make the branching
     entangled, not reducible.  Neither test depends on the pair, so both are
-    decided once for ``u``: the whiskers from one representative, and the
-    ``ends`` (occurrences some representative puts first or last) from
-    walking each slice up and down through its neighbours (``_ends``); a
-    pair is minimal when its union covers ``ends``.
+    decided once for ``u`` (and only here): the whiskers from one
+    representative, and the ``ends`` (occurrences some representative puts
+    first or last) from walking each slice alone up and down through its
+    neighbours (``_ends``); a pair is minimal when its union covers ``ends``.
     """
     u = canonical_form(u)
     if any(_outer_whiskers(u)):
@@ -301,27 +302,27 @@ def _branching_key(b: Branching) -> tuple:
 
 
 def _stuck_splices(u: Diagram, gens):
-    """Candidate entangled sources: ``u``, widened by at most one outer wire
-    on each side, with one generator slice spliced in at a cut, kept only
-    when no representative puts the new slice first or last and no outer
-    wire passes untouched (else the slice or wire is a peelable context)."""
-    for extra_l, extra_r in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        base = hcomp(identity(extra_l), u, identity(extra_r))
-        for top, rest in _cuts(base):
-            above = tuple(s for s, _ in top)
-            below = tuple(s for s, _ in rest)
-            w = Diagram(base.input_width, above).output_width
-            for g in gens:
-                for off in range(w - g.arity + 1):
-                    try:
-                        d = Diagram(base.input_width,
-                                    above + (Slice(off, g),) + below)
-                    except DiagramError:
-                        continue
-                    if len(above) not in _ends(d) and not any(
-                        _outer_whiskers(d)
-                    ):
-                        yield d
+    """Candidate entangled sources: ``u`` padded by a wire on each side, a
+    slice spliced in at a cut where no representative puts it first or last
+    (else it is a peelable context), and untouched pads stripped.  A whisker
+    of ``u``'s own may remain: :func:`critical_pairs_on` rejects it."""
+    base = hcomp(identity(1), u, identity(1))
+    for top, rest in _cuts(base):
+        above = tuple(s for s, _ in top)
+        below = tuple(s for s, _ in rest)
+        w = Diagram(base.input_width, above).output_width
+        for g in gens:
+            for off in range(w - g.arity + 1):
+                s = Slice(off, g)
+                if _reaches_end(above, s, below):
+                    continue
+                try:
+                    d = Diagram(base.input_width, above + (s,) + below)
+                except DiagramError:
+                    continue
+                left, right = _outer_whiskers(d)
+                yield Diagram(d.input_width - left - right,
+                              tuple(t.shifted(-left) for t in d.slices))
 
 
 def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
@@ -331,10 +332,10 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     re-verified against the matcher and the minimality test, so generation
     is heuristic but acceptance is not.  Phase 1 superposes pairs of rule
     sources over their exchange closures (all overlap-type branchings, where
-    the source is the union of the two redexes).  Phase 2 splices one stuck
-    generator slice into each phase-1 source, possibly widened by outer
-    wires, to catch entangled branchings whose source strictly contains the
-    union — e.g. the wide Yang–Baxter self-overlap of the symmetry rules.
+    the source is the union of the two redexes).  Phase 2 walks the cuts of
+    each phase-1 source, padded once, and splices in one stuck slice
+    (``_stuck_splices``), to catch entangled branchings whose source
+    strictly contains the union — e.g. the wide Yang–Baxter self-overlap.
     Completeness is bounded: branchings needing two or more stuck slices
     are missed, and such branchings exist (perm has three ``yb``/``yb``
     ones, pinned in the test suite).

@@ -270,18 +270,28 @@ def _cuts(d: Diagram) -> Iterator[tuple[list, list]]:
         level = list(grown.values())
 
 
+def _reaches_end(above, s: Slice, below) -> bool:
+    """Whether slice ``s`` between ``above`` and ``below``, walked alone,
+    exchanges up through every slice above or down through every one below."""
+    cur = s
+    for a in reversed(above):
+        if not _commute(a, cur):
+            break
+        cur = _swap(a, cur)[0]
+    else:
+        return True
+    for b in below:
+        if not _commute(s, b):
+            return False
+        s = _swap(s, b)[1]
+    return True
+
+
 def _ends(d: Diagram) -> set[int]:
     """The indices of the slices some exchange representative of ``d`` puts
-    first or last: the fronts, and the slices that walk down to the bottom."""
-    ends = {i for _, i, _ in _fronts([(s, i) for i, s in enumerate(d.slices)])}
-    for j, cur in enumerate(d.slices):
-        for b in d.slices[j + 1:]:
-            if not _commute(cur, b):
-                break
-            _, cur = _swap(cur, b)
-        else:
-            ends.add(j)
-    return ends
+    first or last."""
+    ss = d.slices
+    return {j for j, s in enumerate(ss) if _reaches_end(ss[:j], s, ss[j + 1:])}
 
 
 def _lex_min(entries: list[tuple[Slice, int]]) -> list[tuple[Slice, int]]:

@@ -256,21 +256,13 @@ def apply_step(d: Diagram, s: Step) -> Diagram:
 
 @dataclass(frozen=True)
 class Trace:
-    """A 3-cell of the free track 3-category: a source plus directed steps.
-
-    ``congruence`` declares how consecutive boundaries are compared:
-    ``exchange_only`` for pros (plain ``diagram_equal``) or ``prop`` when
-    2-cells are identified modulo the structural S-rules as well.
-    """
+    """A 3-cell of the free track 3-category: a source plus directed steps."""
 
     source: Diagram
     steps: tuple[Step, ...] = ()
-    congruence: str = "exchange_only"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.congruence not in ("exchange_only", "prop"):
-            raise RewriteError(f"bad congruence {self.congruence!r}")
 
     def target(self) -> Diagram:
         return self.steps[-1].target() if self.steps else self.source
@@ -296,29 +288,21 @@ def validate_trace(t: Trace, equiv=diagram_equal) -> list[Diagram]:
 
 def compose_traces(t1: Trace, t2: Trace, equiv=diagram_equal) -> Trace:
     """The ⋆₂ composite; targets and sources must agree under ``equiv``."""
-    if t1.congruence != t2.congruence:
-        raise RewriteError("cannot compose traces with different congruences")
     if not equiv(t1.target(), t2.source):
         raise RewriteError(
             f"trace composition mismatch: '{print_diagram(t1.target())}' vs "
             f"'{print_diagram(t2.source)}'"
         )
-    return Trace(t1.source, t1.steps + t2.steps, t1.congruence)
+    return Trace(t1.source, t1.steps + t2.steps)
 
 
 def invert_trace(t: Trace) -> Trace:
     """The inverse 3-cell: reversed step order, flipped directions."""
-    return Trace(
-        t.target(),
-        tuple(s.inverse() for s in reversed(t.steps)),
-        t.congruence,
-    )
+    return Trace(t.target(), tuple(s.inverse() for s in reversed(t.steps)))
 
 
 def parallel(t1: Trace, t2: Trace, equiv=diagram_equal) -> bool:
     """Whether the two traces form a 3-sphere (equal sources and targets)."""
-    if t1.congruence != t2.congruence:
-        raise RewriteError("traces declare different congruence levels")
     return equiv(t1.source, t2.source) and equiv(t1.target(), t2.target())
 
 
@@ -414,7 +398,6 @@ def parse_trace(text: str, p: Polygraph) -> Trace:
     Header ``trace <name> on <expr>``; body lines
     ``step <rule> <+|-> top=<expr> left=<nat> right=<nat> bot=<expr>``.
     """
-    congruence = "prop" if p.signature.is_prop else "exchange_only"
     source: Diagram | None = None
     steps: list[Step] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -444,7 +427,7 @@ def parse_trace(text: str, p: Polygraph) -> Trace:
         raise RewriteError(f"cannot parse trace line {lineno}: {raw!r}")
     if source is None:
         raise RewriteError("trace file has no 'trace ... on ...' header")
-    return Trace(source, tuple(steps), congruence)
+    return Trace(source, tuple(steps))
 
 
 def print_trace(t: Trace, name: str = "t") -> str:

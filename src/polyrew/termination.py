@@ -88,65 +88,86 @@ class Max(MonotoneExpr):
         return f"max({self.left}, {self.right})"
 
 
-class _ExprParser:
-    """expr := atom ('+' atom)* ; atom := nat | var | 'max' '(' e ',' e ')' |
-    '(' expr ')'."""
+_TOKEN = re.compile(r"\d+|\w+|[+(),]")
 
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.tokens = re.findall(r"\d+|\w+|[+(),]", text)
-        self.pos = 0
-        self.variables = variables
 
-    def next(self) -> str:
-        if self.pos >= len(self.tokens):
+def _parse_sums(text: str, variables: tuple[str, ...],
+                listed: bool) -> list[MonotoneExpr]:
+    """The sum ``expr := atom ('+' atom)*`` in ``text``, ``atom := nat | var
+    | 'max' '(' expr ',' expr ')' | '(' expr ')'``, or if ``listed`` those
+    between its top-level commas, blank ones dropped.  One loop with an
+    explicit stack, so nesting is not bounded by the recursion limit."""
+    toks = list(_TOKEN.finditer(text))
+    pos = mark = 0  # ``mark``: where the current listed sum starts
+    # ``stack`` holds per open parenthesis its kind, the sum left of it and
+    # max's first argument; ``acc`` is the sum read so far inside it.
+    stack, acc, out = [], None, []
+
+    def peek():  # a top-level comma ends a listed sum as end of input would
+        tok = toks[pos].group() if pos < len(toks) else None
+        return None if listed and tok == "," and not stack else tok
+
+    def take(want=None):
+        nonlocal pos
+        tok = peek()
+        if tok is None:
             raise TerminationError("unexpected end of expression")
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        if want and tok != want:
+            raise TerminationError(f"expected {want!r}, found {tok!r}")
+        pos += 1
         return tok
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise TerminationError(f"expected {tok!r}, found {got!r}")
-
-    def parse(self) -> MonotoneExpr:
-        e = self.expr()
-        if self.peek() is not None:
-            raise TerminationError(f"trailing token {self.peek()!r} in expression")
-        return e
-
-    def expr(self) -> MonotoneExpr:
-        e = self.atom()
-        while self.peek() == "+":
-            self.next()
-            e = Add(e, self.atom())
-        return e
-
-    def atom(self) -> MonotoneExpr:
-        tok = self.next()
-        if tok == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if tok == "max":
-            self.expect("(")
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect(")")
-            return Max(left, right)
+    while True:
+        if listed and not stack and acc is None and peek() is None:
+            at = toks[pos].start() if pos < len(toks) else len(text)
+            if text[mark:at].strip():  # stray characters but no token
+                raise TerminationError("unexpected end of expression")
+            if pos == len(toks):
+                return out
+            pos, mark = pos + 1, at + 1
+            continue
+        tok = take()
+        if tok in ("(", "max"):
+            if tok == "max":
+                take("(")
+            stack.append((tok, acc, None))
+            acc = None
+            continue
         if tok.isdecimal():
-            return Const(int(tok))
-        if tok in self.variables:
-            return Var(self.variables.index(tok))
-        raise TerminationError(f"unknown token {tok!r} in expression")
+            e = Const(int(tok))
+        elif tok in variables:
+            e = Var(variables.index(tok))
+        else:
+            raise TerminationError(f"unknown token {tok!r} in expression")
+        # After an atom: '+' extends the sum; otherwise each closing token
+        # ends the innermost parenthesis, whose value is the next atom out.
+        while True:
+            acc = e if acc is None else Add(acc, e)
+            tok = peek()
+            if tok == "+":
+                pos += 1
+                break
+            if not stack:
+                if tok is not None:
+                    raise TerminationError(
+                        f"trailing token {tok!r} in expression")
+                out.append(acc)
+                if pos == len(toks):
+                    return out
+                acc, mark, pos = None, toks[pos].end(), pos + 1
+                break
+            kind, outer, first = stack[-1]
+            if kind == "max" and first is None:
+                take(",")
+                stack[-1], acc = (kind, outer, acc), None
+                break
+            take(")")
+            stack.pop()
+            e, acc = (acc if kind == "(" else Max(first, acc)), outer
 
 
 def parse_expr(text: str, variables: tuple[str, ...]) -> MonotoneExpr:
-    return _ExprParser(text, variables).parse()
+    return _parse_sums(text, variables, False)[0]
 
 
 # -- interpretations ------------------------------------------------------
@@ -322,29 +343,12 @@ def parse_interpretation(text: str) -> tuple[str, Interpretation]:
             kind, gen, vars_text, body = m.groups()
             variables = tuple(v.strip() for v in vars_text.split(",") if v.strip())
             if kind == "X":
-                parts = _split_top_level_commas(body)
-                x_entries[gen] = tuple(parse_expr(pt, variables) for pt in parts)
+                x_entries[gen] = tuple(_parse_sums(body, variables, True))
             else:
                 d_entries[gen] = parse_expr(body, variables)
             continue
         raise TerminationError(f"cannot parse interpretation line {lineno}: {raw!r}")
     return name, Interpretation(x_entries, d_entries, bound)
-
-
-def _split_top_level_commas(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for c in text:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
 
 
 #: The interpretation that proves Mon₃ terminates: X(μ)(i,j)=i+j, X(η)=1,

@@ -311,7 +311,6 @@ class TestCriterion6BraidedCoherence:
             s = Step(rule, direction, rng.choice(ms).context)
             mutated = Trace(
                 t.source, t.steps[:pos] + (s, s.inverse()) + t.steps[pos:],
-                "prop",
             )
             assert braid_of_trace(mutated) == word
             checked += 1

@@ -133,19 +133,25 @@ class TestTermination:
         )
         assert code == 0
 
-    def test_deep_interp_exits_2(self, capsys, tmp_path):
-        # The interpretation expression parser still recurses per parenthesis.
-        interp = tmp_path / "deep.interp"
-        interp.write_text(
-            "interp for Mon\n"
-            f"X mu (i, j) = {'(' * 1500}i{')' * 1500}\n"
-        )
-        code, out, err = run(
-            capsys, "termination", "--preset", "mon", "--interp", str(interp)
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: input too large (RecursionError)\n"
+    def test_deep_interp_parses(self, capsys, tmp_path):
+        # The interpretation parser keeps its own stack, so 1,500 nested
+        # parentheses read as the flat ``i + j``.
+        outs = []
+        for name, x_mu in (("flat", "i + j"),
+                           ("deep", f"{'(' * 1500}i{')' * 1500} + j")):
+            interp = tmp_path / f"{name}.interp"
+            interp.write_text(
+                "interp for Mon\n"
+                f"X mu (i, j) = {x_mu}\nd mu (i, j) = i\n"
+                "X eta () = 1\nd eta () = 0\nbound 4\n"
+            )
+            code, out, err = run(
+                capsys, "termination", "--preset", "mon",
+                "--interp", str(interp),
+            )
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_unicode_digit_exits_2(self, capsys, tmp_path):
         interp = tmp_path / "digit.interp"

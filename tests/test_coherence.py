@@ -23,7 +23,13 @@ from polyrew.coherence import (
     structural_normal_form,
     whisker_top,
 )
-from polyrew.critical import structural_rules, tau_diagram
+from polyrew.critical import (
+    ConfluenceDiagram,
+    check_local_confluence,
+    enumerate_critical_branchings,
+    structural_rules,
+    tau_diagram,
+)
 from polyrew.diagram import (
     Diagram,
     Slice,
@@ -40,8 +46,13 @@ from polyrew.rewrite import (
     Context,
     Step,
     Trace,
+    compose_traces,
     find_matches,
+    invert_trace,
     normalize,
+    parallel,
+    parse_trace,
+    print_trace,
     validate_trace,
 )
 
@@ -262,19 +273,19 @@ class TestBraidOfTrace:
     def test_mon_only_trace_empty(self):
         src = Q("(mu * id 1) ; mu")
         s = step_at("alpha", "forward", src)
-        t = Trace(src, (s,), "prop")
+        t = Trace(src, (s,))
         assert braid_of_trace(t) == BraidWord(3)
 
     def test_single_beta(self):
         src = Q("tau ; mu")
-        t = Trace(src, (step_at("beta", "forward", src),), "prop")
+        t = Trace(src, (step_at("beta", "forward", src),))
         assert braid_of_trace(t) == sigma(2, 1)
 
     def test_invalid_trace_rejected(self):
         src = Q("tau ; mu")
         alien = step_at("alpha", "forward", Q("(mu * id 1) ; mu"))
         with pytest.raises(Exception):
-            braid_of_trace(Trace(src, (alien,), "prop"))
+            braid_of_trace(Trace(src, (alien,)))
 
 
 # -- deciders --------------------------------------------------------------
@@ -288,7 +299,7 @@ def daleth1_legs():
         Step(R("beta"), "forward", Context(one_tau, 0, 1, Q("mu"))),
         Step(R("alpha"), "forward", Context(one_tau, 0, 0, identity(1))),
         Step(R("beta"), "forward", Context(identity(3), 1, 0, Q("mu"))),
-    ), "prop")
+    ))
     leg2 = Trace(source, (
         Step(R("alpha"), "forward",
              Context(Q("(id 1 * tau) ; (tau * id 1)"), 0, 0, identity(1))),
@@ -296,7 +307,7 @@ def daleth1_legs():
         # below tau; the prop congruence absorbs it.
         Step(R("beta"), "forward", Context(Q("mu * id 1"), 0, 0, identity(1))),
         Step(R("alpha"), "forward", Context(identity(3), 0, 0, identity(1))),
-    ), "prop")
+    ))
     return leg1, leg2
 
 
@@ -304,11 +315,11 @@ def beta_vs_whiskered_inverse():
     """beta against its inverse pushed under a top crossing: parallel but
     braids sigma_1 vs sigma_1^-1."""
     src = Q("tau ; mu")
-    t1 = Trace(src, (step_at("beta", "forward", src),), "prop")
+    t1 = Trace(src, (step_at("beta", "forward", src),))
     t2 = Trace(src, (
         Step(R("beta"), "backward", Context(tau_diagram(), 0, 0, identity(1))),
         Step(R("sym"), "forward", Context(identity(2), 0, 0, Q("mu"))),
-    ), "prop")
+    ))
     return t1, t2
 
 
@@ -350,8 +361,8 @@ class TestDecide:
 
     def test_not_parallel(self):
         src = Q("tau ; mu")
-        t1 = Trace(src, (step_at("beta", "forward", src),), "prop")
-        t2 = Trace(Q("mu"), (), "prop")
+        t1 = Trace(src, (step_at("beta", "forward", src),))
+        t2 = Trace(Q("mu"), ())
         assert decide_coherence(BR, t1, t2).outcome == "NotParallel"
 
     def test_reflexive_and_symmetric(self):
@@ -384,31 +395,30 @@ class TestCompose:
     def test_beta_with_inverse_trivial(self):
         src = Q("tau ; mu")
         s = step_at("beta", "forward", src)
-        t1 = Trace(src, (s,), "prop")
-        t2 = Trace(s.target(), (s.inverse(),), "prop")
+        t1 = Trace(src, (s,))
+        t2 = Trace(s.target(), (s.inverse(),))
         closed = initial_algebra_compose(t1, t2)
         assert is_trivial(braid_of_trace(closed))
 
     def test_compose_across_structural_jump(self):
         # target and source agree only modulo a symmetry move.
-        t1 = Trace(Q("tau ; tau ; tau ; mu"), (), "prop")
-        t2 = Trace(Q("tau ; mu"), (step_at("beta", "forward", Q("tau ; mu")),),
-                   "prop")
+        t1 = Trace(Q("tau ; tau ; tau ; mu"), ())
+        t2 = Trace(Q("tau ; mu"), (step_at("beta", "forward", Q("tau ; mu")),))
         composed = initial_algebra_compose(t1, t2)
         assert braid_of_trace(composed) == sigma(2, 1)
 
     def test_misaligned_rejected(self):
-        t1 = Trace(Q("mu"), (), "prop")
-        t2 = Trace(Q("tau ; mu"), (), "prop")
+        t1 = Trace(Q("mu"), ())
+        t2 = Trace(Q("tau ; mu"), ())
         with pytest.raises(CoherenceError, match="misaligned"):
             initial_algebra_compose(t1, t2)
 
     def test_mon_trace_leaves_braid_unchanged(self):
         src = Q("tau ; mu")
-        t1 = Trace(src, (step_at("beta", "forward", src),), "prop")
+        t1 = Trace(src, (step_at("beta", "forward", src),))
         # unfold a unit below the target and fold it back
         s = Step(R("rho"), "backward", Context(Q("mu"), 0, 0, identity(1)))
-        t2 = Trace(Q("mu"), (s, s.inverse()), "prop")
+        t2 = Trace(Q("mu"), (s, s.inverse()))
         composed = initial_algebra_compose(t1, t2)
         assert braid_of_trace(composed) == braid_of_trace(t1)
 
@@ -424,6 +434,20 @@ class TestCompose:
         t1, _ = beta_vs_whiskered_inverse()
         with pytest.raises(CoherenceError, match="width"):
             whisker_top(t1, identity(3))
+
+    def test_printed_trace_is_parallel_to_itself(self):
+        # ``critical`` builds the legs of a confluence diagram and
+        # ``parse_trace`` reads them back: on a prop both must compare
+        # under the congruence alone.
+        p = BR.polygraph
+        cd = check_local_confluence(p, enumerate_critical_branchings(p)[0])
+        assert isinstance(cd, ConfluenceDiagram)
+        equiv = congruence_equiv(p)
+        t = cd.leg(1)
+        back = parse_trace(print_trace(t), p)
+        assert parallel(t, back, equiv)
+        loop = compose_traces(t, invert_trace(back), equiv)
+        assert equiv(loop.source, loop.target())
 
 
 # -- randomized invariants -------------------------------------------------
@@ -445,7 +469,7 @@ def random_br_trace(rng, max_steps=6):
         s = Step(rule, direction, rng.choice(ms).context)
         steps.append(s)
         current = s.target()
-    return Trace(src, tuple(steps), "prop")
+    return Trace(src, tuple(steps))
 
 
 class TestRandomizedInvariants:
@@ -487,7 +511,7 @@ class TestRandomizedInvariants:
             if not insert:
                 continue
             mutated = Trace(
-                t.source, t.steps[:pos] + insert + t.steps[pos:], "prop"
+                t.source, t.steps[:pos] + insert + t.steps[pos:]
             )
             assert braid_of_trace(mutated) == base
             checked += 1

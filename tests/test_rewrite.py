@@ -9,6 +9,8 @@ import pytest
 from polyrew.diagram import (
     Diagram,
     Slice,
+    _commute,
+    _swap,
     canonical_form,
     diagram_equal,
     exchange_closure,
@@ -42,6 +44,7 @@ import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
 from conftest import MU
+from test_critical import all_diagrams as class_representatives
 from test_critical import counit_polygraph
 from test_diagram import all_diagrams, random_diagram
 
@@ -140,6 +143,67 @@ class TestFindMatches:
         a = find_matches(d, p.rule("alpha").lhs)
         b = find_matches(d, p.rule("alpha").lhs)
         assert [m.occurrences for m in a] == [m.occurrences for m in b]
+
+
+def id_keyed_closure(d):
+    """Every ``(slices, ids)`` order of ``d``'s exchange class: the swap
+    search of ``exchange_closure_with_ids``, keyed by the id tuple and the
+    offsets (which fix the slices), so no id order is dropped for repeating
+    another's slice sequence.  An id order alone does not fix the slices:
+    with a coarity-0 generator two paths can place one differently."""
+    start = (tuple(d.slices), tuple(range(len(d.slices))))
+    seen, frontier = {}, [start]
+    while frontier:
+        nxt = []
+        for slices, ids in frontier:
+            key = (ids, tuple(s.offset for s in slices))
+            if key in seen:
+                continue
+            seen[key] = slices, ids
+            for i in range(len(slices) - 1):
+                if _commute(slices[i], slices[i + 1]):
+                    b2, a2 = _swap(slices[i], slices[i + 1])
+                    nxt.append((slices[:i] + (b2, a2) + slices[i + 2:],
+                                ids[:i] + (ids[i + 1], ids[i]) + ids[i + 2:]))
+        frontier = nxt
+    return list(seen.values())
+
+
+def occurrences_in(members, d, patterns):
+    """The ``(pattern index, occurrence set)`` pairs read off each member:
+    a pattern's canonical slices as a window under a uniform offset shift,
+    as ``find_matches`` reads them."""
+    pats = [[(s.gen.name, s.offset) for s in canonical_form(pattern).slices]
+            for pattern in patterns]
+    found = set()
+    for slices, ids in members:
+        w = d.input_width
+        for i, s in enumerate(slices):
+            for n, pat in enumerate(pats):
+                shift = s.offset - pat[0][1]
+                if s.gen.name == pat[0][0] and 0 <= shift <= (
+                        w - patterns[n].input_width) and pat == [
+                        (t.gen.name, t.offset - shift)
+                        for t in slices[i: i + len(pat)]]:
+                    found.add((n, frozenset(ids[i: i + len(pat)])))
+            w += s.gen.coarity - s.gen.arity
+    return found
+
+
+def test_find_matches_survives_dropped_id_orders():
+    # ``exchange_closure_with_ids`` keeps one id order per slice sequence;
+    # over the counit signature some classes have orders it drops.  None
+    # of them may cost ``find_matches`` an occurrence set.
+    p = counit_polygraph()
+    lhss = [r.lhs for r in p.rules]
+    dropped = 0
+    for d in class_representatives(p.signature, 5, 3):
+        u = canonical_form(d)
+        members = id_keyed_closure(u)
+        dropped += len(members) > len({slices for slices, _ in members})
+        got = {(m.pattern, m.occurrences) for m in find_matches(u, *lhss)}
+        assert got == occurrences_in(members, u, lhss), print_diagram(u)
+    assert dropped == 43
 
 
 class TestOneClosurePerSubject:

@@ -7,8 +7,12 @@ import pytest
 from polyrew.diagram import Diagram, exchange_closure, identity, parse_diagram
 from polyrew.rewrite import Polygraph, Rule
 from polyrew.termination import (
+    Add,
+    Const,
     Interpretation,
+    Max,
     TerminationError,
+    Var,
     check_decrease,
     eval_deriv,
     eval_X,
@@ -144,3 +148,61 @@ class TestFormat:
     def test_bad_line(self):
         with pytest.raises(TerminationError, match="line 1"):
             parse_interpretation("what is this")
+
+
+#: Expressions over ``(i, j, k)`` and what the recursive-descent parser this
+#: loop replaced returned for them: a tree, or its ``TerminationError``
+#: message.  ``Add`` nests to the left; other characters form no token.
+I, J, K = Var(0), Var(1), Var(2)
+EXPR_CASES = [
+    ("i + j + k", Add(Add(I, J), K)),
+    ("i + (j + k)", Add(I, Add(J, K))),
+    ("max(i + 1, max(j, k)) + 2",
+     Add(Max(Add(I, Const(1)), Max(J, K)), Const(2))),
+    ("((i))", I),
+    ("\u0661\u0662 + i", Add(Const(12), I)),
+    ("i * j", "trailing token 'j' in expression"),
+    (" - ", "unexpected end of expression"),
+    ("i +", "unexpected end of expression"),
+    ("(i, j)", "expected ')', found ','"),
+    ("max i", "expected '(', found 'i'"),
+    ("max(i)", "expected ',', found ')'"),
+    ("i)", "trailing token ')' in expression"),
+    ("x", "unknown token 'x' in expression"),
+    ("max(i,)", "unknown token ')' in expression"),
+    ("i,", "trailing token ',' in expression"),
+]
+
+#: ``X`` bodies: top-level commas separate the components, blank ones are
+#: dropped, and a component of stray characters is an error.
+X_BODY_CASES = [
+    ("max(i, j), k", (Max(I, J), K)),
+    ("i, , j,", (I, J)),
+    ("", ()),
+    ("i, -", "unexpected end of expression"),
+    ("i +, j", "unexpected end of expression"),
+    ("max, i", "unexpected end of expression"),
+    ("i), (j, k", "trailing token ')' in expression"),
+    ("i, ), j", "unknown token ')' in expression"),
+]
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except TerminationError as e:
+        return str(e)
+
+
+class TestExprParser:
+    @pytest.mark.parametrize("text, expected", EXPR_CASES)
+    def test_expr(self, text, expected):
+        assert parsed(lambda t: parse_expr(t, ("i", "j", "k")), text) == expected
+
+    @pytest.mark.parametrize("body, expected", X_BODY_CASES)
+    def test_x_body(self, body, expected):
+        def x_entry(body):
+            text = f"interp for M\nX g (i, j, k) = {body}\n"
+            return parse_interpretation(text)[1].x_entries["g"]
+
+        assert parsed(x_entry, body) == expected
