@@ -42,6 +42,7 @@ from .rewrite import (
     Trace,
     compose_traces,
     normalize,
+    parallel,
     validate_trace,
 )
 from .termination import Interpretation, mon_interpretation
@@ -58,8 +59,6 @@ class CoherenceError(Exception):
 class Preset:
     """A named presentation together with its decision policy.
 
-    ``aspherical_subrules`` are the rules whose steps are invisible to the
-    braid invariant (everything except the commutativity cell);
     ``expected_proper`` pins the proper-branching count the pipeline should
     flag deviations from.
     """
@@ -67,7 +66,6 @@ class Preset:
     name: str
     polygraph: Polygraph
     decision_mode: str  # "aspherical" | "braided"
-    aspherical_subrules: frozenset[str]
     interp: Interpretation | None = None
     expected_proper: int | None = None
 
@@ -117,30 +115,25 @@ def _build_preset(name: str) -> Preset:
             sig,
             (Rule("alpha", q("(mu * id 1) ; mu"), q("(id 1 * mu) ; mu")),),
         )
-        return Preset("as", p, "aspherical", frozenset(r.name for r in p.rules),
-                      interp=mon_interpretation())
+        return Preset("as", p, "aspherical", interp=mon_interpretation())
     if name == "mon":
         p = _mon_polygraph()
-        return Preset("mon", p, "aspherical", frozenset(r.name for r in p.rules),
-                      interp=mon_interpretation())
+        return Preset("mon", p, "aspherical", interp=mon_interpretation())
     if name == "perm":
         p = s_construction(Polygraph(Signature("Perm", ()), ()))
-        return Preset("perm", p, "aspherical", frozenset(r.name for r in p.rules))
+        return Preset("perm", p, "aspherical")
     if name in ("sym", "br"):
         p = _with_commutativity(
             _mon_polygraph("Sym" if name == "sym" else "Br"),
             "Sym" if name == "sym" else "Br",
             with_gamma=False,
         )
-        subrules = frozenset(r.name for r in p.rules) - {"beta"}
         mode = "aspherical" if name == "sym" else "braided"
-        return Preset(name, p, mode, subrules)
+        return Preset(name, p, mode)
     if name == "sym_prime":
         p = _with_commutativity(_mon_polygraph("SymPrime"), "SymPrime",
                                 with_gamma=True)
-        subrules = frozenset(r.name for r in p.rules) - {"beta", "gamma"}
-        return Preset("sym_prime", p, "aspherical", subrules,
-                      expected_proper=10)
+        return Preset("sym_prime", p, "aspherical", expected_proper=10)
     raise CoherenceError(f"unknown preset {name!r}")
 
 
@@ -159,23 +152,22 @@ def get_preset(name: str) -> Preset:
 # -- the structural congruence ---------------------------------------------
 
 
-def structural_normal_form(d: Diagram, p: Polygraph,
-                           budget: int = DEFAULT_BUDGET) -> Diagram:
+def structural_normal_form(d: Diagram, p: Polygraph) -> Diagram:
     """The canonical form of ``d``'s normal form under the structural rules.
 
     Memoized on the exchange class of ``d``: ``normalize`` matches on the
     canonical subject, so the result depends only on ``canonical_form(d)``.
     A call that raises (``BudgetExceededError``) is not cached.
     """
-    return _structural_normal_form(canonical_form(d), p, budget)
+    return _structural_normal_form(canonical_form(d), p)
 
 
 @lru_cache(maxsize=1 << 12)
-def _structural_normal_form(d: Diagram, p: Polygraph, budget: int) -> Diagram:
+def _structural_normal_form(d: Diagram, p: Polygraph) -> Diagram:
     rules = structural_rules(p)
     if not rules:
         return d
-    nf, _ = normalize(d, p, budget, rules=rules)
+    nf, _ = normalize(d, p, DEFAULT_BUDGET, rules=rules)
     return canonical_form(nf)
 
 
@@ -385,7 +377,7 @@ def decide_coherence(preset: Preset, t1: Trace, t2: Trace) -> Decision:
         "target1": print_diagram(t1.target()),
         "target2": print_diagram(t2.target()),
     }
-    if not (equiv(t1.source, t2.source) and equiv(t1.target(), t2.target())):
+    if not parallel(t1, t2, equiv):
         return Decision("NotParallel", evidence)
     if preset.decision_mode == "aspherical":
         return Decision("Equal", evidence)

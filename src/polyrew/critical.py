@@ -1,15 +1,15 @@
 """Critical branchings, local confluence, homotopy bases, the S-construction.
 
 ``enumerate_critical_branchings`` finds every minimal overlapping pair of
-rule applications.  Sources are built by superposing the two rule sources:
-for each pair of exchange representatives, each way of identifying a
-consecutive block of one with a window of the other (same generators, a
-uniform horizontal shift) produces a candidate overlap, which is then
-trimmed, verified by the matcher, and deduplicated by canonical form.
-Entangled sources, where a slice outside both redexes is stuck between
-them, come from splicing into each padded overlap one slice that stays
-stuck between its neighbours.  The candidates are validated against an
-independent exhaustive search on the small presets in the test suite.
+rule applications.  Sources are built by gluing two rule sources along a
+common block: wherever blocks read off the exchange cuts of the two are
+equal modulo exchange and a horizontal shift, one whole source replaces
+the block in the other.  Each candidate overlap is then trimmed, verified
+by the matcher, and deduplicated by canonical form.  Entangled sources,
+where a slice outside both redexes is stuck between them, come from
+splicing into each padded overlap one slice that stays stuck between its
+neighbours.  The candidates are validated against an independent
+exhaustive search on the small presets in the test suite.
 
 ``s_construction`` extends an algebraic presentation (all generators of
 coarity 1) to a prop presentation: it adjoins the symmetry ``tau`` together
@@ -24,7 +24,6 @@ homotopy basis of the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 from .diagram import (
     Diagram,
@@ -32,12 +31,12 @@ from .diagram import (
     Signature,
     Slice,
     TAU,
+    _blocks,
     _cuts,
     _ends,
     _reaches_end,
     canonical_form,
     diagram_equal,
-    exchange_closure,
     generator_diagram,
     hcomp,
     identity,
@@ -75,20 +74,20 @@ def tau_block_left(n: int) -> Diagram:
     """The crossing ``tau_{n,1}``: a block of ``n`` wires over one wire.
 
     Inductively ``tau_{0,1} = id`` and
-    ``tau_{n+1,1} = (id_n ⋆₀ tau) ⋆₁ (tau_{n,1} ⋆₀ id_1)``.
+    ``tau_{n+1,1} = (id_n ⋆₀ tau) ⋆₁ (tau_{n,1} ⋆₀ id_1)``: one crossing per
+    wire of the block, from the right.
     """
-    if n == 0:
-        return identity(1)
-    inner = hcomp(identity(n - 1), tau_diagram())
-    return vcomp(inner, hcomp(tau_block_left(n - 1), identity(1)))
+    return Diagram(n + 1, tuple(Slice(i, TAU) for i in reversed(range(n))))
 
 
 def tau_block_right(n: int) -> Diagram:
-    """The crossing ``tau_{1,n}``: one wire over a block of ``n`` wires."""
-    if n == 0:
-        return identity(1)
-    inner = hcomp(tau_diagram(), identity(n - 1))
-    return vcomp(inner, hcomp(identity(1), tau_block_right(n - 1)))
+    """The crossing ``tau_{1,n}``: one wire over a block of ``n`` wires.
+
+    Inductively ``tau_{1,0} = id`` and
+    ``tau_{1,n+1} = (tau ⋆₀ id_n) ⋆₁ (id_1 ⋆₀ tau_{1,n})``: one crossing per
+    wire of the block, from the left.
+    """
+    return Diagram(n + 1, tuple(Slice(i, TAU) for i in range(n)))
 
 
 def s_construction(p: Polygraph) -> Polygraph:
@@ -215,36 +214,6 @@ def _tight(slices) -> Diagram:
     return Diagram(w0, slices)
 
 
-def _superpose(rep1, rep2) -> list[tuple]:
-    """Candidate overlaps of two rule-source representatives.
-
-    Identifies each consecutive block ``rep2[j:j+m]`` with each window
-    ``rep1[i:i+m]`` under a uniform horizontal shift; yields the fused slice
-    sequences (prefix of rep2, all of rep1, suffix of rep2).
-    """
-    n1, n2 = len(rep1), len(rep2)
-    out = []
-    for m in range(1, min(n1, n2) + 1):
-        for i in range(n1 - m + 1):
-            for j in range(n2 - m + 1):
-                if any(rep1[i + t].gen != rep2[j + t].gen for t in range(m)):
-                    continue
-                d0 = rep2[j].offset - rep1[i].offset
-                if any(
-                    rep2[j + t].offset - rep1[i + t].offset != d0
-                    for t in range(m)
-                ):
-                    continue
-                l1, l2 = (d0, 0) if d0 >= 0 else (0, -d0)
-                fused = (
-                    tuple(s.shifted(l2) for s in rep2[:j])
-                    + tuple(s.shifted(l1) for s in rep1)
-                    + tuple(s.shifted(l2) for s in rep2[j + m:])
-                )
-                out.append(fused)
-    return out
-
-
 def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     """The critical branchings of ``p`` whose source is (the canonical form
     of) ``u``.
@@ -330,15 +299,21 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
 
     Candidate sources are generated in two phases and every candidate is
     re-verified against the matcher and the minimality test, so generation
-    is heuristic but acceptance is not.  Phase 1 superposes pairs of rule
-    sources over their exchange closures (all overlap-type branchings, where
-    the source is the union of the two redexes).  Phase 2 walks the cuts of
-    each phase-1 source, padded once, and splices in one stuck slice
-    (``_stuck_splices``), to catch entangled branchings whose source
+    is heuristic but acceptance is not.  Phase 1 glues pairs of rule
+    sources along a common block (all overlap-type branchings, where the
+    source is the union of the two redexes): the splits of every rule source
+    (``_blocks``) are grouped by tight block modulo exchange, and each
+    ordered pair of splits in a group gives ``above2 ; above1 ; block1 ;
+    below1 ; below2``, shifted so that the blocks coincide.  Phase 2 walks
+    the cuts of each phase-1 source, padded once, and splices in one stuck
+    slice (``_stuck_splices``), to catch entangled branchings whose source
     strictly contains the union — e.g. the wide Yang–Baxter self-overlap.
     Completeness is bounded: branchings needing two or more stuck slices
     are missed, and such branchings exist (perm has three ``yb``/``yb``
-    ones, pinned in the test suite).
+    ones, pinned in the test suite).  With a coarity-0 generator in a rule
+    source, an exchange can have two results that ``_cuts`` reads as one,
+    so phase 1 can miss a gluing and its branching (pinned in the test
+    suite); no preset has such a generator.
     """
     found: dict[tuple, Branching] = {}
     seen: set = set()
@@ -351,14 +326,24 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
             for br in critical_pairs_on(p, candidate):
                 found.setdefault(_branching_key(br), br)
 
-    closures = {r.name: exchange_closure(r.lhs) for r in p.rules}
-    for r1, r2 in combinations_with_replacement(p.rules, 2):
-        for rep1 in closures[r1.name]:
-            for rep2 in closures[r2.name]:
-                # Try both role orders so the above-the-overlap part of
-                # either rule source can end up on top of the fusion.
-                for fused in _superpose(rep1, rep2) + _superpose(rep2, rep1):
-                    consider(_tight(fused))
+    # Phase 1: rule sources glued along a common block.
+    groups: dict[Diagram, list] = {}
+    for r in p.rules:
+        for split in _blocks(r.lhs):
+            key = canonical_form(_tight(split[1]))
+            groups.setdefault(key, []).append(split)
+    for splits in groups.values():
+        for above1, block1, below1 in splits:
+            inner = above1 + block1 + below1
+            m1 = min(s.offset for s in block1)
+            for above2, block2, below2 in splits:
+                d0 = min(s.offset for s in block2) - m1
+                l1, l2 = max(d0, 0), max(-d0, 0)
+                consider(_tight(
+                    tuple(s.shifted(l2) for s in above2)
+                    + tuple(s.shifted(l1) for s in inner)
+                    + tuple(s.shifted(l2) for s in below2)
+                ))
     # Phase 2: entangled sources, one stuck slice beyond the union.
     gens = p.signature.all_generators()
     for br in list(found.values()):

@@ -270,6 +270,19 @@ def _cuts(d: Diagram) -> Iterator[tuple[list, list]]:
         level = list(grown.values())
 
 
+def _blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
+    """One split ``(above, block, below)`` of an exchange representative of
+    ``d`` per pair of slice sets with a nonempty block: each cut of ``d``,
+    then each cut of its rest, built at the cut's width."""
+    for top, rest in _cuts(d):
+        above = tuple(s for s, _ in top)
+        w = d.input_width + sum(s.gen.coarity - s.gen.arity for s in above)
+        for block, below in _cuts(Diagram(w, tuple(s for s, _ in rest))):
+            if block:
+                yield (above, tuple(s for s, _ in block),
+                       tuple(s for s, _ in below))
+
+
 def _reaches_end(above, s: Slice, below) -> bool:
     """Whether slice ``s`` between ``above`` and ``below``, walked alone,
     exchanges up through every slice above or down through every one below."""

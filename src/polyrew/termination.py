@@ -70,7 +70,12 @@ class Add(MonotoneExpr):
     right: MonotoneExpr
 
     def eval(self, args):
-        return self.left.eval(args) + self.right.eval(args)
+        # The parser nests sums to the left: walk that spine in a loop.
+        total, e = 0, self
+        while isinstance(e, Add):
+            total += e.right.eval(args)
+            e = e.left
+        return total + e.eval(args)
 
     def __str__(self):
         return f"{self.left} + {self.right}"

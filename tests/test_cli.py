@@ -153,6 +153,21 @@ class TestTermination:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_long_sum_interp_passes(self, capsys, tmp_path):
+        # A flat sum nests to the left, 1,500 terms deep; it evaluates
+        # along that spine in a loop.
+        interp = tmp_path / "long.interp"
+        interp.write_text(
+            "interp for Mon\n"
+            f"X mu (i, j) = {'i + ' * 1499}j\nd mu (i, j) = i\n"
+            "X eta () = 1\nd eta () = 0\nbound 4\n"
+        )
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp)
+        )
+        assert (code, err) == (0, "")
+        assert "grid certificate passed (evidence, not proof; B=4)" in out
+
     def test_unicode_digit_exits_2(self, capsys, tmp_path):
         interp = tmp_path / "digit.interp"
         interp.write_text("interp for Mon\nX mu (i, j) = i + \u00b2\n")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from polyrew import coherence
 from polyrew.braid import BraidWord, braid_equal, is_trivial, perm_of_braid, sigma
 from polyrew.coherence import (
     CoherenceError,
@@ -48,6 +49,7 @@ from polyrew.rewrite import (
     Trace,
     compose_traces,
     find_matches,
+    identity_context,
     invert_trace,
     normalize,
     parallel,
@@ -114,10 +116,16 @@ class TestPresets:
         assert get_preset("sym_prime").expected_proper == 10
         assert get_preset("mon").interp is not None
 
-    def test_braiding_rule_not_aspherical(self):
-        assert "beta" not in BR.aspherical_subrules
-        assert "sym" in BR.aspherical_subrules
-        assert "alpha" in BR.aspherical_subrules
+    def test_only_beta_braids(self):
+        # Every br rule applied to its own source gives the trivial braid,
+        # except the commutativity cell, which crosses its two inputs.
+        braids = {
+            r.name: str(braid_of_step(
+                Step(r, "forward", identity_context(r.lhs)), r.lhs))
+            for r in BR.polygraph.rules
+        }
+        assert braids.pop("beta") == "s1"
+        assert set(braids.values()) == {"e"}
 
 
 # -- leaf bundles ----------------------------------------------------------
@@ -542,15 +550,14 @@ class TestStructuralNormalFormMemo:
                 members += 1
         assert members > 40
 
-    def test_errors_not_cached(self):
+    def test_errors_not_cached(self, monkeypatch):
         p = BR.polygraph
         d = Q("tau ; tau ; (eta * id 2) ; (id 1 * mu)")
-        for _ in range(2):
-            with pytest.raises(BudgetExceededError):
-                structural_normal_form(d, p, budget=0)
+        coherence._structural_normal_form.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(coherence, "DEFAULT_BUDGET", 0)
+            for _ in range(2):
+                with pytest.raises(BudgetExceededError):
+                    structural_normal_form(d, p)
         assert structural_normal_form(d, p) == \
             uncached_structural_normal_form(d, p)
-        # The budget is part of the key: a cached success does not leak to
-        # a smaller budget.
-        with pytest.raises(BudgetExceededError):
-            structural_normal_form(d, p, budget=0)

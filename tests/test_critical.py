@@ -10,9 +10,11 @@ compare against the enumerator's output.
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
+from polyrew import critical
 from polyrew.coherence import get_preset
 from polyrew.diagram import (
     Diagram,
@@ -35,6 +37,7 @@ from polyrew.diagram import (
     identity,
     parse_diagram,
     print_diagram,
+    vcomp,
 )
 from polyrew.rewrite import Polygraph, Rule, find_matches, validate_trace
 from polyrew.critical import (
@@ -47,6 +50,7 @@ from polyrew.critical import (
     _branching_key,
     _outer_whiskers,
     _stuck_splices,
+    _tight,
     asphericity_pipeline,
     check_local_confluence,
     classify_branching,
@@ -138,6 +142,23 @@ class TestSConstruction:
         assert diagram_equal(tau_block_left(1), tau_diagram())
         assert diagram_equal(tau_block_right(1), tau_diagram())
         assert len(tau_block_left(3).slices) == 3
+
+    def test_tau_blocks_unfold_the_induction(self):
+        def left(n):  # tau_{n+1,1} = (id_n * tau) ; (tau_{n,1} * id_1)
+            if n == 0:
+                return identity(1)
+            return vcomp(hcomp(identity(n - 1), tau_diagram()),
+                         hcomp(left(n - 1), identity(1)))
+
+        def right(n):  # tau_{1,n+1} = (tau * id_n) ; (id_1 * tau_{1,n})
+            if n == 0:
+                return identity(1)
+            return vcomp(hcomp(tau_diagram(), identity(n - 1)),
+                         hcomp(identity(1), right(n - 1)))
+
+        for n in range(9):
+            assert tau_block_left(n) == left(n)
+            assert tau_block_right(n) == right(n)
         assert tau_block_left(3).input_width == 4
 
     def test_mu_naturality_shapes(self, mon):
@@ -399,6 +420,152 @@ class TestTwoStuckSlices:
         for b in missed:
             result = check_local_confluence(s_empty, b)
             assert isinstance(result, ConfluenceDiagram)
+
+
+# -- phase 1: closure-based superposition reference ------------------------
+
+
+def superpose(rep1, rep2):
+    """Phase-1 overlaps as first enumerated, over two exchange
+    representatives: each block ``rep2[j:j+m]`` identified with each window
+    ``rep1[i:i+m]`` under a uniform horizontal shift, giving the fused slice
+    sequence (prefix of rep2, all of rep1, suffix of rep2)."""
+    n1, n2 = len(rep1), len(rep2)
+    out = []
+    for m in range(1, min(n1, n2) + 1):
+        for i in range(n1 - m + 1):
+            for j in range(n2 - m + 1):
+                if any(rep1[i + t].gen != rep2[j + t].gen for t in range(m)):
+                    continue
+                d0 = rep2[j].offset - rep1[i].offset
+                if any(rep2[j + t].offset - rep1[i + t].offset != d0
+                       for t in range(m)):
+                    continue
+                l1, l2 = (d0, 0) if d0 >= 0 else (0, -d0)
+                out.append(
+                    tuple(s.shifted(l2) for s in rep2[:j])
+                    + tuple(s.shifted(l1) for s in rep1)
+                    + tuple(s.shifted(l2) for s in rep2[j + m:])
+                )
+    return out
+
+
+def closure_phase1_candidates(p):
+    """The canonical phase-1 candidates of :func:`superpose` over every
+    pair of members of the rule sources' exchange closures, both roles."""
+    closures = {r.name: exchange_closure(r.lhs) for r in p.rules}
+    out = set()
+    for r1, r2 in itertools.combinations_with_replacement(p.rules, 2):
+        for rep1 in closures[r1.name]:
+            for rep2 in closures[r2.name]:
+                for fused in superpose(rep1, rep2) + superpose(rep2, rep1):
+                    out.add(canonical_form(_tight(fused)))
+    return out
+
+
+def phase1_candidates(p, monkeypatch):
+    """The canonical candidates the enumerator passes to
+    ``critical_pairs_on``; with none accepted, phase 2 has nothing to walk."""
+    got = set()
+
+    def record(_, u):
+        got.add(u)
+        return []
+
+    with monkeypatch.context() as m:
+        m.setattr(critical, "critical_pairs_on", record)
+        enumerate_critical_branchings(p)
+    return got
+
+
+def random_rule_sources(rng, gens, rules, max_slices, max_width):
+    """``rules`` random nonempty diagrams over ``gens``, each of at most
+    ``max_slices`` slices and ``max_width`` wires at every level."""
+    out = []
+    while len(out) < rules:
+        w = w0 = rng.randint(0, max_width)
+        slices = []
+        for _ in range(rng.randint(1, max_slices)):
+            fit = [g for g in gens
+                   if g.arity <= w and w - g.arity + g.coarity <= max_width]
+            if not fit:
+                break
+            g = rng.choice(fit)
+            slices.append(Slice(rng.randint(0, w - g.arity), g))
+            w += g.coarity - g.arity
+        if slices:
+            out.append(Diagram(w0, tuple(slices)))
+    return out
+
+
+MU = GeneratorSym("mu", 2, 1)
+ETA = GeneratorSym("eta", 0, 1)
+DELTA = GeneratorSym("delta", 1, 2)
+EPS = GeneratorSym("eps", 1, 0)
+
+
+def random_polygraphs(seed, count):
+    """Seeded polygraphs of 1-3 rules of 1-3 slices on at most 4 wires,
+    with no coarity-0 generator; each rule rewrites its source to itself,
+    which enumeration never reads."""
+    sigs = [
+        Signature("MuEta", (MU, ETA)),
+        Signature("MuDelta", (MU, DELTA)),
+        Signature("Ternary", (MU, GeneratorSym("t", 3, 1))),
+        Signature("PropMuEta", (MU, ETA), is_prop=True),
+        Signature("PropDeltaMu", (DELTA, MU), is_prop=True),
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        sig = rng.choice(sigs)
+        sources = random_rule_sources(
+            rng, sig.all_generators(), rng.randint(1, 3), 3, 4)
+        yield Polygraph(sig, tuple(
+            Rule(f"r{k}", lhs, lhs) for k, lhs in enumerate(sources)))
+
+
+def coarity0_pair():
+    """Two rule sources whose closures hold a placement of ``eta`` beside
+    ``eps`` that the exchange cuts never read (the one-way ``_swap``)."""
+    sig = Signature("Coarity0", (EPS, ETA, MU))
+    q = lambda text: parse_diagram(text, sig)
+    return Polygraph(sig, (
+        Rule("r0", q("(eta * id 3) ; (id 2 * eps * id 1)"), q("id 3")),
+        Rule("r1", q("(id 1 * eta * id 1) ; (eps * id 2) ; mu"), q("mu")),
+    ))
+
+
+class TestPhase1Blocks:
+    """Phase 1 glues rule sources along blocks read off their exchange
+    cuts; gluing windows of closure members is its oracle."""
+
+    @pytest.mark.parametrize("preset", list(GOLDEN_ENUMERATION))
+    def test_presets_match_closure(self, monkeypatch, preset):
+        p = get_preset(preset).polygraph
+        assert phase1_candidates(p, monkeypatch) == (
+            closure_phase1_candidates(p))
+
+    def test_random_polygraphs_match_closure(self, monkeypatch):
+        for k, p in enumerate(random_polygraphs(2026, 150)):
+            assert phase1_candidates(p, monkeypatch) == (
+                closure_phase1_candidates(p)), k
+
+    def test_coarity0_known_gap(self, monkeypatch):
+        # The closure also reaches [eta@0, eps@1, mu@0] from r1's
+        # [eta@1, eps@0, mu@0]; the cuts keep one placement per set of
+        # slices above them, so 7 of the closure's 32 candidates and one
+        # r0/r1 branching are missed.
+        p = coarity0_pair()
+        got = phase1_candidates(p, monkeypatch)
+        expected = closure_phase1_candidates(p)
+        assert got < expected
+        assert (len(got), len(expected)) == (25, 32)
+        found = enumerate_critical_branchings(p)
+        assert len(found) == 4
+        missed = "(eps * id 1) ; (eta * id 1) ; (eta * id 2) ; (id 1 * mu)"
+        assert missed not in {print_diagram(b.source) for b in found}
+        assert [b.rules for b in critical_pairs_on(
+            p, parse_diagram(missed, p.signature))] == [("r0", "r1")]
 
 
 # -- minimality: closure-based reference ----------------------------------
