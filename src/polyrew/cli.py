@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Verbs: ``normalize``, ``critical``, ``confluence``, ``termination``,
-``homotopy-basis``, ``decide``, ``info``, ``export``.  A polygraph comes from
-a compiled-in preset (``--preset``) or a file (``--polygraph``); reports are
-emitted as text or JSON.  Exit codes: 0 = success/Equal, 1 = the analysis
-found a failure (non-confluence, failed certificate, NotEqual/NotParallel),
-2 = input error, including input too large to process (``RecursionError`` or
-``MemoryError``).
+``_VERBS`` names each verb, its handler and the flags it reads; a verb
+accepts only those flags, plus ``--format`` (text or JSON) and ``--out``.  A
+polygraph comes from a compiled-in preset (``--preset``) or, where the verb
+reads it, a file (``--polygraph``).  Exit codes: 0 = success/Equal, 1 =
+the analysis found a failure (non-confluence, failed certificate,
+NotEqual/NotParallel), 2 = input error, including input too large to process
+(``RecursionError`` or ``MemoryError``) and a flag the verb does not read.
 """
 
 from __future__ import annotations
@@ -60,28 +60,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="polygraphic rewriting workbench for PROs and PROPs",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in (
-        "normalize",
-        "critical",
-        "confluence",
-        "termination",
-        "homotopy-basis",
-        "decide",
-        "info",
-        "export",
-    ):
+    options = {
+        "--preset": dict(choices=PRESET_NAMES),
+        "--polygraph": dict(metavar="FILE"),
+        "--expr": {},
+        "--trace": dict(action="append", default=[], metavar="FILE"),
+        "--interp": dict(metavar="FILE"),
+        "--bound": dict(type=int),
+        "--budget": dict(type=int, default=DEFAULT_BUDGET),
+        "--assume-terminating": dict(action="store_true"),
+    }
+    for verb, (_, flags) in _VERBS.items():
         p = sub.add_parser(verb)
         src = p.add_mutually_exclusive_group()
-        src.add_argument("--preset", choices=PRESET_NAMES)
-        src.add_argument("--polygraph", metavar="FILE")
-        p.add_argument("--expr")
-        p.add_argument("--trace", action="append", default=[], metavar="FILE")
-        p.add_argument("--interp", metavar="FILE")
-        p.add_argument("--bound", type=int)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        for flag in flags.split():
+            group = src if flag in ("--preset", "--polygraph") else p
+            group.add_argument(flag, **options[flag])
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="FILE")
-        p.add_argument("--assume-terminating", action="store_true")
     return parser
 
 
@@ -254,14 +250,15 @@ def _cmd_export(args):
 
 
 _VERBS = {
-    "normalize": _cmd_normalize,
-    "critical": _cmd_critical,
-    "confluence": _cmd_confluence,
-    "termination": _cmd_termination,
-    "homotopy-basis": _cmd_homotopy_basis,
-    "decide": _cmd_decide,
-    "info": _cmd_info,
-    "export": _cmd_export,
+    "normalize": (_cmd_normalize, "--preset --polygraph --expr --budget"),
+    "critical": (_cmd_critical, "--preset --polygraph"),
+    "confluence": (_cmd_confluence, "--preset --polygraph --budget"),
+    "termination": (_cmd_termination, "--preset --polygraph --interp --bound"),
+    "homotopy-basis": (_cmd_homotopy_basis, "--preset --polygraph --interp "
+                       "--bound --budget --assume-terminating"),
+    "decide": (_cmd_decide, "--preset --trace"),
+    "info": (_cmd_info, "--preset --polygraph --interp --bound --budget"),
+    "export": (_cmd_export, "--preset --polygraph"),
 }
 
 
@@ -282,7 +279,7 @@ def _emit(args, report: dict, text: str) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, report, text = _VERBS[args.verb](args)
+        code, report, text = _VERBS[args.verb][0](args)
         _emit(args, report, text)
         return code
     except (

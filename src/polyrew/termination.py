@@ -64,21 +64,46 @@ class Const(MonotoneExpr):
         return str(self.value)
 
 
+def _operands(e: MonotoneExpr) -> list[MonotoneExpr]:
+    """The operands, left to right, of the chain of nodes of ``e``'s type
+    rooted at ``e``, nested on either side; walked with an explicit stack, so
+    a chain is not bounded by the recursion limit."""
+    kind, todo, out = type(e), [e], []
+    while todo:
+        e = todo.pop()
+        if type(e) is kind:
+            todo += e.right, e.left
+        else:
+            out.append(e)
+    return out
+
+
 @dataclass(frozen=True)
 class Add(MonotoneExpr):
     left: MonotoneExpr
     right: MonotoneExpr
 
     def eval(self, args):
-        # The parser nests sums to the left: walk that spine in a loop.
-        total, e = 0, self
-        while isinstance(e, Add):
-            total += e.right.eval(args)
-            e = e.left
-        return total + e.eval(args)
+        # The parser nests sums to the left: walk that spine in a loop, and
+        # each right operand that is itself a sum the same way, from a stack
+        # of nested pairs, so a flat sum builds no list.  ``check_decrease``
+        # calls this per grid point and slice; going through ``_operands``
+        # made it half again as slow on mon.
+        total, e, todo = 0, self, None
+        while True:
+            while type(e) is Add:
+                if type(e.right) is Add:
+                    todo = e.right, todo
+                else:
+                    total += e.right.eval(args)
+                e = e.left
+            total += e.eval(args)
+            if todo is None:
+                return total
+            e, todo = todo
 
     def __str__(self):
-        return f"{self.left} + {self.right}"
+        return " + ".join(map(str, _operands(self)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +112,7 @@ class Max(MonotoneExpr):
     right: MonotoneExpr
 
     def eval(self, args):
-        return max(self.left.eval(args), self.right.eval(args))
+        return max(e.eval(args) for e in _operands(self))
 
     def __str__(self):
         return f"max({self.left}, {self.right})"

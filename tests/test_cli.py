@@ -2,10 +2,12 @@
 formats, and file round-trips."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from polyrew.cli import main
+from polyrew.cli import _build_parser, main
 from polyrew.rewrite import (
     parse_polygraph,
     parse_trace,
@@ -167,6 +169,29 @@ class TestTermination:
         )
         assert (code, err) == (0, "")
         assert "grid certificate passed (evidence, not proof; B=4)" in out
+
+    @pytest.mark.parametrize("deep, shallow", [
+        (f"{'i + (' * 1499}j{')' * 1499}", f"{'i + ' * 1499}j"),
+        (f"{'max(i, ' * 1500}j{')' * 1500}", "max(i, j)"),
+    ], ids=["sum", "max"])
+    def test_deep_chain_interp_matches_shallow(self, capsys, tmp_path,
+                                                deep, shallow):
+        # A sum nested to the right and a chain of max, 1,500 deep, give
+        # the exit code and report of their shallow equivalents.
+        results = []
+        for name, x_mu in (("deep", deep), ("shallow", shallow)):
+            interp = tmp_path / f"{name}.interp"
+            interp.write_text(
+                "interp for Mon\n"
+                f"X mu (i, j) = {x_mu}\nd mu (i, j) = i\n"
+                "X eta () = 1\nd eta () = 0\nbound 4\n"
+            )
+            results.append(run(
+                capsys, "termination", "--preset", "mon",
+                "--interp", str(interp), "--format", "json",
+            ))
+        assert results[0] == results[1]
+        assert results[0][2] == ""
 
     def test_unicode_digit_exits_2(self, capsys, tmp_path):
         interp = tmp_path / "digit.interp"
@@ -341,3 +366,54 @@ class TestExport:
         )
         assert code == 0
         assert out.startswith("1 critical branching(s)")
+
+
+#: The flags each verb reads besides ``--format`` and ``--out``, which every
+#: verb takes.
+VERB_FLAGS = {
+    "normalize": {"--preset", "--polygraph", "--expr", "--budget"},
+    "critical": {"--preset", "--polygraph"},
+    "confluence": {"--preset", "--polygraph", "--budget"},
+    "termination": {"--preset", "--polygraph", "--interp", "--bound"},
+    "homotopy-basis": {"--preset", "--polygraph", "--interp", "--bound",
+                       "--budget", "--assume-terminating"},
+    "decide": {"--preset", "--trace"},
+    "info": {"--preset", "--polygraph", "--interp", "--bound", "--budget"},
+    "export": {"--preset", "--polygraph"},
+}
+
+#: Every flag any verb takes, with a value.
+FLAG_VALUES = {
+    "--preset": ["mon"], "--polygraph": ["p.poly"], "--expr": ["mu"],
+    "--trace": ["a.tr"], "--interp": ["m.interp"], "--bound": ["3"],
+    "--budget": ["5"], "--assume-terminating": [], "--format": ["json"],
+    "--out": ["o.json"],
+}
+
+
+class TestVerbFlags:
+    @pytest.mark.parametrize("verb", list(VERB_FLAGS))
+    def test_each_verb_takes_only_the_flags_it_reads(self, capsys, verb):
+        parser = _build_parser()
+        reads = VERB_FLAGS[verb] | {"--format", "--out"}
+        for flag, value in FLAG_VALUES.items():
+            argv = [verb, flag, *value]
+            if flag in reads:
+                assert parser.parse_args(argv).verb == verb
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join([flag, *value])}" in err
+
+    def test_readme_quick_tour_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        tour = readme.split("## Quick tour", 1)[1].split("```sh\n", 1)[1]
+        commands = [shlex.split(line, comments=True)
+                    for line in tour.split("```", 1)[0].splitlines()]
+        assert len(commands) >= 8
+        for argv in commands:
+            assert argv[0] == "polyrew"
+            assert _build_parser().parse_args(argv[1:]).verb == argv[1]

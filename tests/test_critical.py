@@ -39,7 +39,16 @@ from polyrew.diagram import (
     print_diagram,
     vcomp,
 )
-from polyrew.rewrite import Polygraph, Rule, find_matches, validate_trace
+from polyrew.rewrite import (
+    Polygraph,
+    RewriteError,
+    Rule,
+    find_matches,
+    normalize,
+    parse_polygraph,
+    print_trace,
+    validate_trace,
+)
 from polyrew.critical import (
     Branching,
     ConfluenceDiagram,
@@ -566,6 +575,30 @@ class TestPhase1Blocks:
         assert missed not in {print_diagram(b.source) for b in found}
         assert [b.rules for b in critical_pairs_on(
             p, parse_diagram(missed, p.signature))] == [("r0", "r1")]
+
+
+def test_coarity0_normalize_known_gap():
+    # The same one-way ``_swap``: the closure of the canonical subject
+    # holds a member whose canonical form differs, and ``normalize`` takes
+    # the ``unit`` match's context from it, so its step does not plug back
+    # into the subject.  Once canonical forms are exact with coarity 0
+    # (ROADMAP item 2), ``validate_trace`` passes here.
+    p = parse_polygraph(
+        "gen mu : 2 -> 1\ngen eta : 0 -> 1\ngen delta : 1 -> 2\n"
+        "gen eps : 1 -> 0\nrule unit : eta ; eps => id 0\n"
+        "rule counit : delta ; (eps * id 1) => id 1\n"
+        "rule lam : (eta * id 1) ; mu => id 1\n")
+    d = parse_diagram("mu ; (id 1 * eta) ; (id 1 * eps) ; eps", p.signature)
+    nf, trace = normalize(d, p)
+    assert print_diagram(nf) == "mu ; eps"
+    assert print_trace(trace, "n").splitlines()[1:] == [
+        "step unit + top=id 2 left=0 right=2 bot=mu ; eps"]
+    source = trace.steps[0].source()
+    assert print_diagram(source) == "(eta * id 2) ; (eps * id 2) ; mu ; eps"
+    assert not diagram_equal(source, d)
+    with pytest.raises(RewriteError, match=r"^invalid trace: step 0 "
+                       r"\(unit forward\) expects '\(eta \* id 2\) ; "):
+        validate_trace(trace)
 
 
 # -- minimality: closure-based reference ----------------------------------

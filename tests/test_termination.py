@@ -206,3 +206,20 @@ class TestExprParser:
             return parse_interpretation(text)[1].x_entries["g"]
 
         assert parsed(x_entry, body) == expected
+
+
+class TestDeepChains:
+    def test_chains_nested_either_side(self):
+        # A chain of one operator, 1,500 deep on either side, evaluates and
+        # prints in a loop; a sum prints flat however it is nested.
+        n = 1500
+        for text in ("i + " * n + "j", "i + (" * n + "j" + ")" * n):
+            e = parse_expr(text, ("i", "j"))
+            assert e.eval((2, 3)) == 2 * n + 3
+            assert str(e) == "x1 + " * n + "x2"
+        e = parse_expr("max(i, " * n + "j" + ")" * n, ("i", "j"))
+        assert (e.eval((2, 3)), e.eval((5, 3))) == (3, 5)
+        assert str(Add(Add(I, J), Add(K, Add(I, Const(2))))) == (
+            "x1 + x2 + x3 + x1 + 2")
+        assert str(Add(Const(1), Add(Max(Add(I, J), Const(2)), K))) == (
+            "1 + max(x1 + x2, 2) + x3")
