@@ -41,7 +41,7 @@ def main() -> None:
         d = q(text)
         sigma, pure = decompose_algebraic(d)
         print(f"  {text}")
-        print(f"    bundles {leaf_bundles(d).bundles}  "
+        print(f"    bundles {leaf_bundles(d)}  "
               f"sigma {sigma}  pure {print_diagram(pure)}")
 
     beta = BR.polygraph.rule("beta")

@@ -28,7 +28,6 @@ from .rewrite import (
     Rule,
     Step,
     Trace,
-    apply_step,
     compose_traces,
     find_matches,
     invert_trace,
@@ -76,17 +75,14 @@ from .braid import (
     braid_equal,
     braid_inverse,
     garside_nf,
-    handle_reduce,
     is_trivial,
     perm_of_braid,
     sigma,
 )
 from .coherence import (
-    BundleState,
     CoherenceError,
     Decision,
     Preset,
-    braid_of_step,
     braid_of_trace,
     decide_coherence,
     decompose_algebraic,
@@ -105,7 +101,7 @@ __all__ = [
     "print_diagram", "vcomp",
     # rewrite
     "BudgetExceededError", "Context", "DEFAULT_BUDGET", "Match", "Polygraph",
-    "RewriteError", "Rule", "Step", "Trace", "apply_step", "compose_traces",
+    "RewriteError", "Rule", "Step", "Trace", "compose_traces",
     "find_matches", "invert_trace", "normalize", "parallel",
     "parse_polygraph", "parse_trace", "print_polygraph", "print_trace",
     "validate_trace",
@@ -122,12 +118,11 @@ __all__ = [
     # braid
     "BraidError", "BraidWord", "GarsideNormalForm", "block_crossing",
     "braid_concat", "braid_equal", "braid_inverse", "garside_nf",
-    "handle_reduce", "is_trivial", "perm_of_braid", "sigma",
+    "is_trivial", "perm_of_braid", "sigma",
     # coherence
-    "BundleState", "CoherenceError", "Decision", "Preset", "braid_of_step",
-    "braid_of_trace", "decide_coherence", "decompose_algebraic",
-    "get_preset", "initial_algebra_compose", "leaf_bundles", "perm_diagram",
-    "whisker_top",
+    "CoherenceError", "Decision", "Preset", "braid_of_trace",
+    "decide_coherence", "decompose_algebraic", "get_preset",
+    "initial_algebra_compose", "leaf_bundles", "perm_diagram", "whisker_top",
 ]
 
 __version__ = "0.1.0"

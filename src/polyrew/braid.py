@@ -1,11 +1,10 @@
-"""Braid words, Garside normal form, and Dehornoy handle reduction.
+"""Braid words, Garside normal form, and block crossings.
 
 This is the decision engine behind the braided coherence theorem: the braid
 invariant of a trace is a word in the Artin generators, and two traces are
 equated precisely when their braids are equal.  Equality is decided through
 the left-greedy Garside normal form ``Δ^k · f₁ ⋯ f_r`` (simple factors
-represented as permutation tables), with Dehornoy handle reduction kept as an
-independent triviality oracle for cross-checks.
+represented as permutation tables).
 
 ``garside_nf`` reads a word once, left to right.  Each negative letter
 contributes a ``Δ⁻¹``; rather than conjugating the factors collected so far
@@ -232,61 +231,6 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
 def is_trivial(w: BraidWord) -> bool:
     nf = garside_nf(w)
     return nf.delta_power == 0 and not nf.factors
-
-
-# -- Dehornoy handle reduction --------------------------------------------
-
-
-def _free_reduce(letters: tuple[Letter, ...]) -> list[Letter]:
-    stack: list[Letter] = []
-    for letter in letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return stack
-
-
-def handle_reduce(w: BraidWord, max_steps: int = 100_000) -> BraidWord:
-    """Dehornoy handle reduction; the result is empty iff ``w`` is trivial.
-
-    A ``σ_i``-handle is a factor ``σ_i^e v σ_i^{-e}`` whose interior ``v``
-    contains no ``σ_i`` and no ``σ_{i-1}``.  Reducing it deletes the flanking
-    letters and conjugates the interior's ``σ_{i+1}`` letters:
-    ``σ_{i+1}^{±1} ↦ σ_{i+1}^{-e} σ_i^{±1} σ_{i+1}^{e}``.  We always reduce
-    the handle with the leftmost end, which contains no nested handle; this
-    strategy terminates (Dehornoy's theorem — the bound is a safety net).
-    """
-    letters = _free_reduce(w.letters)
-    for _ in range(max_steps):
-        handle = _first_handle(letters)
-        if handle is None:
-            return BraidWord(w.n, tuple(letters))
-        p, q = handle
-        i, e = letters[p]
-        new_interior: list[Letter] = []
-        for j, d in letters[p + 1: q]:
-            if j == i + 1:
-                new_interior.extend([(i + 1, -e), (i, d), (i + 1, e)])
-            else:
-                new_interior.append((j, d))
-        letters = _free_reduce(
-            tuple(letters[:p]) + tuple(new_interior) + tuple(letters[q + 1:])
-        )
-    raise BraidError("handle reduction exceeded its step budget")
-
-
-def _first_handle(letters: list[Letter]) -> tuple[int, int] | None:
-    """The handle with the leftmost end position, as an index pair (p, q)."""
-    last_seen: dict[int, int] = {}
-    for q, (i, sign) in enumerate(letters):
-        p = last_seen.get(i)
-        if p is not None and letters[p][1] == -sign:
-            interior = letters[p + 1: q]
-            if all(j != i - 1 for j, _ in interior):
-                return p, q
-        last_seen[i] = q
-    return None
 
 
 # -- block crossings ------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braid import BraidWord, block_crossing, braid_concat, garside_nf
-from .critical import s_construction, structural_rules, tau_diagram
+from .critical import s_construction, structural_rules
 from .diagram import (
     Diagram,
     GeneratorSym,
@@ -214,22 +214,16 @@ def _evaluate_trees(d: Diagram):
     return values
 
 
-@dataclass(frozen=True)
-class BundleState:
-    """Per output wire: the ordered input strands feeding it."""
-
-    bundles: tuple[tuple[int, ...], ...]
-
-
-def leaf_bundles(d: Diagram) -> BundleState:
-    """The input strands feeding each output wire, in left-to-right order.
+def leaf_bundles(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """Per output wire of ``d``: the input strands feeding it, in
+    left-to-right order.
 
     Seeded with singleton bundles; a coarity-1 generator concatenates its
     argument bundles (so ``eta`` emits an empty one) and ``tau`` swaps two.
     The result is invariant under exchange and under all structural S-rules,
     which is what makes the braid of a step well defined.
     """
-    return BundleState(tuple(t[2] for t in _evaluate_trees(d)))
+    return tuple(t[2] for t in _evaluate_trees(d))
 
 
 def perm_diagram(perm: tuple[int, ...]) -> Diagram:
@@ -277,28 +271,18 @@ def decompose_algebraic(d: Diagram) -> tuple[tuple[int, ...], Diagram]:
 BRAIDING_RULE = "beta"
 
 
-def braid_of_step(s: Step, source: Diagram) -> BraidWord:
-    """The braid word of one step on the strands of ``source``'s inputs.
+def _braid_of_redex(s: Step, source: Diagram) -> BraidWord:
+    """The braid word of one step on the strands of ``source = s.source()``.
 
     Steps of any rule other than the commutativity cell contribute the empty
     word.  A commutativity step crosses the leaf bundle feeding the left
     wire of its redex over the bundle feeding the right wire, with the sign
     of the step's direction.
     """
-    if not diagram_equal(s.source(), source):
-        raise CoherenceError(
-            f"step {s.rule.name} {s.direction} does not apply to "
-            f"'{print_diagram(source)}'"
-        )
-    return _braid_of_redex(s, source)
-
-
-def _braid_of_redex(s: Step, source: Diagram) -> BraidWord:
-    """:func:`braid_of_step` for a ``source`` known to be ``s.source()``."""
     n = source.input_width
     if s.rule.name != BRAIDING_RULE:
         return BraidWord(n)
-    bundles = leaf_bundles(s.context.top).bundles
+    bundles = leaf_bundles(s.context.top)
     wire = s.context.left
     left, right = bundles[wire], bundles[wire + 1]
     a, b = len(left), len(right)
@@ -309,7 +293,7 @@ def _braid_of_redex(s: Step, source: Diagram) -> BraidWord:
     # the two swapped blocks sit consecutively in the source's leaf order.
     # A forward step removes the redex crossing, so its source reads the
     # right bundle first.
-    sigma = tuple(x for bundle in leaf_bundles(source).bundles for x in bundle)
+    sigma = tuple(x for bundle in leaf_bundles(source) for x in bundle)
     if s.direction == "forward":
         combined = right + left
         sign, first, second = 1, b, a

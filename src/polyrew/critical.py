@@ -46,7 +46,6 @@ from .diagram import (
 from .rewrite import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    Match,
     Polygraph,
     Rule,
     Step,
@@ -167,8 +166,8 @@ class Branching:
     source: Diagram
     step1: Step
     step2: Step
-    occ1: frozenset[int] = frozenset()
-    occ2: frozenset[int] = frozenset()
+    occ1: frozenset[int]
+    occ2: frozenset[int]
 
     @property
     def rules(self) -> tuple[str, str]:
@@ -261,15 +260,6 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     return out
 
 
-def _branching_key(b: Branching) -> tuple:
-    return (
-        (b.source.input_width, b.source.slices),
-        frozenset(
-            {(b.step1.rule.name, b.occ1), (b.step2.rule.name, b.occ2)}
-        ),
-    )
-
-
 def _stuck_splices(u: Diagram, gens):
     """Candidate entangled sources: ``u`` padded by a wire on each side, a
     slice spliced in at a cut where no representative puts it first or last
@@ -315,7 +305,7 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     so phase 1 can miss a gluing and its branching (pinned in the test
     suite); no preset has such a generator.
     """
-    found: dict[tuple, Branching] = {}
+    found: list[Branching] = []
     seen: set = set()
 
     def consider(candidate: Diagram) -> None:
@@ -323,8 +313,7 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
         ckey = (candidate.input_width, candidate.slices)
         if ckey not in seen:
             seen.add(ckey)
-            for br in critical_pairs_on(p, candidate):
-                found.setdefault(_branching_key(br), br)
+            found.extend(critical_pairs_on(p, candidate))
 
     # Phase 1: rule sources glued along a common block.
     groups: dict[Diagram, list] = {}
@@ -346,11 +335,10 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
                 ))
     # Phase 2: entangled sources, one stuck slice beyond the union.
     gens = p.signature.all_generators()
-    for br in list(found.values()):
+    for br in list(found):
         for variant in _stuck_splices(br.source, gens):
             consider(variant)
-    out = list(found.values())
-    out.sort(
+    found.sort(
         key=lambda br: (
             len(br.source.slices),
             br.source.input_width,
@@ -360,7 +348,7 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
             tuple(sorted(br.occ2)),
         )
     )
-    return out
+    return found
 
 
 # -- local confluence and homotopy bases ----------------------------------

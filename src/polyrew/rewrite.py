@@ -42,10 +42,6 @@ class RewriteError(Exception):
     """Base for rewriting errors."""
 
 
-class ApplicationError(RewriteError):
-    """A step's context does not match the diagram it is applied to."""
-
-
 class BudgetExceededError(RewriteError):
     """Normalization ran out of budget; carries the partial trace."""
 
@@ -166,7 +162,7 @@ class Match:
 
     context: Context
     occurrences: frozenset[int]
-    pattern: int = 0
+    pattern: int
 
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.occurrences))
@@ -241,17 +237,6 @@ class Step:
     def inverse(self) -> "Step":
         flipped = "backward" if self.direction == "forward" else "forward"
         return Step(self.rule, flipped, self.context)
-
-
-def apply_step(d: Diagram, s: Step) -> Diagram:
-    """Apply ``s`` to ``d``; the context must match ``d`` exactly (modulo
-    exchange)."""
-    if not diagram_equal(s.source(), d):
-        raise ApplicationError(
-            f"stale context: step {s.rule.name} {s.direction} does not match "
-            f"'{print_diagram(d)}'"
-        )
-    return s.target()
 
 
 @dataclass(frozen=True)

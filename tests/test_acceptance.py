@@ -25,7 +25,6 @@ from polyrew.braid import (
     braid_equal,
     braid_inverse,
     garside_nf,
-    handle_reduce,
     is_trivial,
     perm_of_braid,
     sigma,
@@ -58,6 +57,7 @@ from polyrew.diagram import (
 from polyrew.rewrite import find_matches, validate_trace
 from polyrew.termination import check_decrease
 
+from braid_oracle import handle_reduce
 from test_coherence import (
     beta_vs_whiskered_inverse,
     daleth1_legs,

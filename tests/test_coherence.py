@@ -12,7 +12,6 @@ from polyrew.coherence import (
     CoherenceError,
     Decision,
     PRESET_NAMES,
-    braid_of_step,
     braid_of_trace,
     congruence_equiv,
     decide_coherence,
@@ -45,6 +44,7 @@ from polyrew.diagram import (
 from polyrew.rewrite import (
     BudgetExceededError,
     Context,
+    RewriteError,
     Step,
     Trace,
     compose_traces,
@@ -120,8 +120,9 @@ class TestPresets:
         # Every br rule applied to its own source gives the trivial braid,
         # except the commutativity cell, which crosses its two inputs.
         braids = {
-            r.name: str(braid_of_step(
-                Step(r, "forward", identity_context(r.lhs)), r.lhs))
+            r.name: str(braid_of_trace(
+                Trace(r.lhs, (Step(r, "forward", identity_context(r.lhs)),)),
+                BR.polygraph))
             for r in BR.polygraph.rules
         }
         assert braids.pop("beta") == "s1"
@@ -133,26 +134,26 @@ class TestPresets:
 
 class TestLeafBundles:
     def test_mu(self):
-        assert leaf_bundles(Q("mu")).bundles == ((0, 1),)
+        assert leaf_bundles(Q("mu")) == ((0, 1),)
 
     def test_unit_collapse(self):
-        assert leaf_bundles(Q("(eta * id 1) ; mu")).bundles == ((0,),)
+        assert leaf_bundles(Q("(eta * id 1) ; mu")) == ((0,),)
 
     def test_swap_then_merge(self):
-        assert leaf_bundles(Q("tau ; mu")).bundles == ((1, 0),)
+        assert leaf_bundles(Q("tau ; mu")) == ((1, 0),)
 
     def test_eta_empty(self):
-        assert leaf_bundles(Q("eta")).bundles == ((),)
+        assert leaf_bundles(Q("eta")) == ((),)
 
     def test_identity(self):
-        assert leaf_bundles(identity(3)).bundles == ((0,), (1,), (2,))
+        assert leaf_bundles(identity(3)) == ((0,), (1,), (2,))
 
     def test_invariant_under_structural_rewrites(self):
         rng = random.Random(41)
         rules = [r.name for r in structural_rules(BR.polygraph)]
         for _ in range(60):
             d = random_algebraic_diagram(rng)
-            base = leaf_bundles(d).bundles
+            base = leaf_bundles(d)
             current = d
             for _ in range(rng.randint(1, 4)):
                 name = rng.choice(rules)
@@ -160,7 +161,7 @@ class TestLeafBundles:
                 if s is None:
                     continue
                 current = s.target()
-                assert leaf_bundles(current).bundles == base
+                assert leaf_bundles(current) == base
 
     def test_rejects_coarity_two(self):
         from polyrew.diagram import GeneratorSym, generator_diagram
@@ -176,7 +177,7 @@ class TestDeepTrees:
         return Diagram(n + 1, (Slice(0, SIG.lookup("mu")),) * n)
 
     def test_leaf_bundles_of_deep_comb(self):
-        assert leaf_bundles(self.left_comb(2000)).bundles == (
+        assert leaf_bundles(self.left_comb(2000)) == (
             tuple(range(2001)),)
 
     def test_decompose_deep_comb(self):
@@ -232,7 +233,7 @@ class TestDecompose:
     def test_perm_diagram(self):
         d = perm_diagram((2, 0, 1))
         assert all(s.gen.name == "tau" for s in d.slices)
-        assert leaf_bundles(d).bundles == ((2,), (0,), (1,))
+        assert leaf_bundles(d) == ((2,), (0,), (1,))
 
     def test_perm_diagram_rejects(self):
         with pytest.raises(CoherenceError, match="permutation"):
@@ -254,27 +255,28 @@ class TestBraidOfStep:
     def test_beta_identity_context(self):
         src = Q("tau ; mu")
         s = step_at("beta", "forward", src)
-        assert braid_of_step(s, src) == sigma(2, 1)
+        assert braid_of_trace(Trace(src, (s,)), BR.polygraph) == sigma(2, 1)
 
     def test_lambda_empty(self):
         src = Q("(eta * id 1) ; mu")
         s = step_at("lambda", "forward", src)
-        assert braid_of_step(s, src) == BraidWord(1)
+        assert braid_of_trace(Trace(src, (s,)), BR.polygraph) == BraidWord(1)
 
     def test_beta_backward_under_tau(self):
         s = Step(R("beta"), "backward", Context(tau_diagram(), 0, 0, identity(1)))
-        assert braid_of_step(s, s.source()) == sigma(2, 1, -1)
+        assert braid_of_trace(
+            Trace(s.source(), (s,)), BR.polygraph) == sigma(2, 1, -1)
 
     def test_stale_source_rejected(self):
         s = step_at("beta", "forward", Q("tau ; mu"))
-        with pytest.raises(CoherenceError, match="does not apply"):
-            braid_of_step(s, Q("mu"))
+        with pytest.raises(RewriteError, match="invalid trace"):
+            braid_of_trace(Trace(Q("mu"), (s,)), BR.polygraph)
 
     def test_empty_bundle_empty_word(self):
         # beta whose redex wires carry an eta bundle: crossing nothing.
         src = Q("(eta * id 1) ; tau ; mu")
         s = step_at("beta", "forward", src)
-        assert braid_of_step(s, src) == BraidWord(1)
+        assert braid_of_trace(Trace(src, (s,)), BR.polygraph) == BraidWord(1)
 
 
 class TestBraidOfTrace:
@@ -294,6 +296,17 @@ class TestBraidOfTrace:
         alien = step_at("alpha", "forward", Q("(mu * id 1) ; mu"))
         with pytest.raises(Exception):
             braid_of_trace(Trace(src, (alien,)))
+
+    def test_steps_read_modulo_the_structural_congruence(self):
+        # beta backward at the identity context of mu applies to
+        # tau ; tau ; mu, which equals mu only through the sym rule.
+        beta = R("beta")
+        step = Step(beta, "backward", identity_context(beta.rhs))
+        t = Trace(Q("tau ; tau ; mu"), (step,))
+        validate_trace(t, congruence_equiv(BR.polygraph))
+        with pytest.raises(RewriteError, match="invalid trace"):
+            validate_trace(t)
+        assert braid_of_trace(t, BR.polygraph) == sigma(2, 1, -1)
 
 
 # -- deciders --------------------------------------------------------------

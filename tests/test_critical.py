@@ -56,7 +56,6 @@ from polyrew.critical import (
     CriticalError,
     FailureReport,
     FAMILY_TAGS,
-    _branching_key,
     _outer_whiskers,
     _stuck_splices,
     _tight,
@@ -78,6 +77,17 @@ from polyrew.termination import mon_interpretation
 
 from conftest import make_as_polygraph, make_mon_polygraph
 from test_diagram import all_diagrams as every_diagram
+
+
+def _branching_key(b: Branching) -> tuple:
+    """A branching up to the order of its two steps: source, and the rule
+    and occurrence set of each step."""
+    return (
+        (b.source.input_width, b.source.slices),
+        frozenset(
+            {(b.step1.rule.name, b.occ1), (b.step2.rule.name, b.occ2)}
+        ),
+    )
 
 
 # -- shared presets --------------------------------------------------------

@@ -19,7 +19,6 @@ from polyrew.diagram import (
     print_diagram,
 )
 from polyrew.rewrite import (
-    ApplicationError,
     BudgetExceededError,
     Context,
     Polygraph,
@@ -27,7 +26,6 @@ from polyrew.rewrite import (
     Rule,
     Step,
     Trace,
-    apply_step,
     compose_traces,
     find_matches,
     identity_context,
@@ -260,7 +258,8 @@ class TestSteps:
         alpha = p.rule("alpha")
         d = alpha.lhs
         step = Step(alpha, "forward", identity_context(alpha.lhs))
-        out = apply_step(d, step)
+        validate_trace(Trace(d, (step,)))
+        out = step.target()
         assert diagram_equal(out, parse_diagram("(id 1 * mu) ; mu", p.signature))
 
     def test_lambda_forward(self, mon_polygraph):
@@ -268,7 +267,8 @@ class TestSteps:
         lam = p.rule("lambda")
         d = parse_diagram("(eta * id 1) ; mu", p.signature)
         step = Step(lam, "forward", identity_context(lam.lhs))
-        assert diagram_equal(apply_step(d, step), identity(1))
+        validate_trace(Trace(d, (step,)))
+        assert diagram_equal(step.target(), identity(1))
 
     def test_forward_then_backward(self, mon_polygraph):
         p = mon_polygraph
@@ -276,16 +276,18 @@ class TestSteps:
         d = parse_diagram("(mu * id 2) ; (mu * id 1) ; mu", p.signature)
         m = find_matches(d, alpha.lhs)[0]
         fwd = Step(alpha, "forward", m.context)
-        out = apply_step(d, fwd)
-        back = apply_step(out, fwd.inverse())
+        validate_trace(Trace(d, (fwd,)))
+        out = fwd.target()
+        validate_trace(Trace(out, (fwd.inverse(),)))
+        back = fwd.inverse().target()
         assert diagram_equal(back, d)
 
     def test_stale_context(self, mon_polygraph):
         p = mon_polygraph
         alpha = p.rule("alpha")
         step = Step(alpha, "forward", identity_context(alpha.lhs))
-        with pytest.raises(ApplicationError):
-            apply_step(identity(3), step)
+        with pytest.raises(RewriteError, match="invalid trace"):
+            validate_trace(Trace(identity(3), (step,)))
 
     def test_widths_preserved(self, mon_polygraph):
         p = mon_polygraph
@@ -294,7 +296,9 @@ class TestSteps:
             d = random_diagram(p.signature, rng)
             for rule in p.rules:
                 for m in find_matches(d, rule.lhs):
-                    out = apply_step(d, Step(rule, "forward", m.context))
+                    step = Step(rule, "forward", m.context)
+                    validate_trace(Trace(d, (step,)))
+                    out = step.target()
                     assert out.input_width == d.input_width
                     assert out.output_width == d.output_width
 
@@ -409,7 +413,8 @@ class TestTraces:
         legs = []
         for m in (m1, m2):
             first = Step(alpha, "forward", m.context)
-            nf, rest = normalize(apply_step(d, first), p)
+            validate_trace(Trace(d, (first,)))
+            nf, rest = normalize(first.target(), p)
             legs.append(Trace(d, (first,) + rest.steps))
         assert parallel(legs[0], legs[1])
         assert {len(legs[0].steps), len(legs[1].steps)} == {2, 3}
