@@ -11,7 +11,12 @@ enumerated once, and every pattern's canonical slice sequence is looked up
 in each member as a consecutive window under a uniform offset shift, so one
 closure pass serves all the rules of a polygraph.  This is exponential in the
 number of commuting slices but complete, which is what the critical-pair
-machinery needs; diagrams in scope stay small.
+machinery needs; diagrams in scope stay small.  Before the closure is built,
+each pattern is tested against the subject's *wire kinds*: its generator
+names, and which output port of which generator feeds which input port of
+which.  Exchange keeps those, so a pattern with a kind the subject lacks
+cannot match and is skipped; when every pattern is skipped, no closure is
+built.  A match builds its context only when it is read.
 
 Normalization applies the first match of the first applicable rule in
 declaration order.  Matches are ordered by their occurrence sets in canonical
@@ -22,12 +27,14 @@ choice makes completions and homotopy bases reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .diagram import (
     Diagram,
     GeneratorSym,
     Signature,
+    Slice,
     canonical_form,
     diagram_equal,
     exchange_closure_with_ids,
@@ -152,20 +159,62 @@ def identity_context(pattern: Diagram) -> Context:
 
 @dataclass(frozen=True)
 class Match:
-    """A found occurrence of a pattern: its context plus the matched slots.
+    """A found occurrence of a pattern: the matched slots, and its context.
 
     ``occurrences`` are indices into the canonical form of the subject
     diagram, identifying which generator occurrences the pattern covers; they
     are what branching enumeration overlaps on.  ``pattern`` is the index of
     the matched pattern among those given to :func:`find_matches`.
+
+    The :attr:`context` is built on first read, since most callers read few
+    (``normalize`` only the first match's): the match keeps the closure
+    ``member`` it was found in, the subject's ``input_width``, the window's
+    start ``at``, the whiskers ``left`` and ``right``, and the width
+    ``bottom_width`` below the hole.
     """
 
-    context: Context
     occurrences: frozenset[int]
     pattern: int
+    member: tuple[Slice, ...] = field(repr=False)
+    input_width: int = field(repr=False)
+    at: int = field(repr=False)
+    left: int = field(repr=False)
+    right: int = field(repr=False)
+    bottom_width: int = field(repr=False)
+
+    @cached_property
+    def context(self) -> Context:
+        end = self.at + len(self.occurrences)
+        return Context(
+            Diagram(self.input_width, self.member[:self.at]),
+            self.left,
+            self.right,
+            Diagram(self.bottom_width, self.member[end:]),
+        )
 
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.occurrences))
+
+
+def _wire_kinds(d: Diagram) -> frozenset:
+    """The generator names of ``d``, plus ``(g, p, h, q)`` for each inner
+    wire from output ``p`` of a ``g`` to input ``q`` of an ``h``."""
+    kinds = set()
+    wires = [None] * d.input_width  # per wire, the output that feeds it
+    for s in d.slices:
+        g, o = s.gen, s.offset
+        kinds.add(g.name)
+        for q in range(g.arity):
+            if wires[o + q] is not None:
+                kinds.add(wires[o + q] + (g.name, q))
+        wires[o: o + g.arity] = [(g.name, p) for p in range(g.coarity)]
+    return frozenset(kinds)
+
+
+@lru_cache(maxsize=1 << 12)
+def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset]:
+    """A pattern's canonical form and wire kinds, built once per pattern."""
+    return canonical_form(pattern), _wire_kinds(pattern)
 
 
 def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
@@ -175,19 +224,31 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     Deduplicated by pattern and matched-occurrence set; ordered by pattern,
     then by occurrence positions in the canonical slice numbering of ``d``
     (leftmost-uppermost first).  No patterns, no matches.
+
+    A pattern whose wire kinds (:func:`_wire_kinds`) are not all kinds of
+    ``d`` is skipped, and if every pattern is, the closure is not built.
+    That is sound: exchange moves slices past others they share no wire
+    with, so it keeps which output port feeds which input port and every
+    closure member has ``d``'s kinds; and a window equal to a pattern has
+    that pattern's kinds.
     """
     if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
-    if not patterns:
+    kinds = _wire_kinds(d)
+    pats = []
+    for n, pattern in enumerate(patterns):
+        canon, needs = _pattern_form(pattern)
+        if needs <= kinds:
+            pats.append((n, canon))
+    if not pats:
         return []
     subject = canonical_form(d)
-    pats = [canonical_form(pattern) for pattern in patterns]
-    found: dict[tuple[int, frozenset[int]], Context] = {}
+    found: dict[tuple[int, frozenset[int]], Match] = {}
     for slices, ids in exchange_closure_with_ids(subject):
         widths = [subject.input_width]
         for s in slices:
             widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
-        for n, pat in enumerate(pats):
+        for n, pat in pats:
             k = len(pat)
             for i in range(len(slices) - k + 1):
                 shift = slices[i].offset - pat.slices[0].offset
@@ -202,16 +263,13 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
                 right = widths[i] - shift - pat.input_width
                 if right < 0:
                     continue
-                key = (n, frozenset(ids[i: i + k]))
-                if key in found:
-                    continue
-                top = Diagram(subject.input_width, slices[:i])
-                bottom = Diagram(
-                    widths[i] - pat.input_width + pat.output_width,
-                    slices[i + k:],
-                )
-                found[key] = Context(top, shift, right, bottom)
-    matches = [Match(ctx, occ, n) for (n, occ), ctx in found.items()]
+                occ = frozenset(ids[i: i + k])
+                if (n, occ) not in found:
+                    found[n, occ] = Match(
+                        occ, n, slices, subject.input_width, i, shift, right,
+                        widths[i] - pat.input_width + pat.output_width,
+                    )
+    matches = list(found.values())
     matches.sort(key=lambda m: (m.pattern, m.key()))
     return matches
 

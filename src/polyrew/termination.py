@@ -103,7 +103,7 @@ class Add(MonotoneExpr):
             e, todo = todo
 
     def __str__(self):
-        return " + ".join(map(str, _operands(self)))
+        return _text(self)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,26 @@ class Max(MonotoneExpr):
         return max(e.eval(args) for e in _operands(self))
 
     def __str__(self):
-        return f"max({self.left}, {self.right})"
+        return _text(self)
+
+
+def _text(e: MonotoneExpr) -> str:
+    """``e`` printed as ``a + b + c`` and ``max(a, b)``, sums flattened:
+    pieces are popped from an explicit stack, so nesting of either kind is
+    not bounded by the recursion limit."""
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is Max:
+            todo += ")", e.right, ", ", e.left, "max("
+        elif type(e) is Add:
+            ops = _operands(e)
+            todo.append(ops.pop())
+            for op in reversed(ops):
+                todo += " + ", op
+        else:
+            out.append(str(e))
+    return "".join(out)
 
 
 _TOKEN = re.compile(r"\d+|\w+|[+(),]")

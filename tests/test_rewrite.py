@@ -14,6 +14,7 @@ from polyrew.diagram import (
     canonical_form,
     diagram_equal,
     exchange_closure,
+    exchange_closure_with_ids,
     identity,
     parse_diagram,
     print_diagram,
@@ -38,6 +39,7 @@ from polyrew.rewrite import (
     print_trace,
     validate_trace,
 )
+from polyrew.rewrite import _wire_kinds
 import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
@@ -241,15 +243,105 @@ class TestOneClosurePerSubject:
         return calls
 
     def test_normalize_builds_one_closure_per_step(self, mon_polygraph, closures):
+        # Already normal, and no rule source's wire kinds are all in it:
+        # no closure at all.
         d = parse_diagram("mu * mu * mu", mon_polygraph.signature)
         nf, trace = normalize(d, mon_polygraph)
         assert (nf, trace.steps) == (d, ())
+        assert len(closures) == 0
+        # One redex: one closure for its step, none for the normal form.
+        d = parse_diagram("(mu * id 1) ; mu", mon_polygraph.signature)
+        nf, trace = normalize(d, mon_polygraph)
+        assert len(trace.steps) == 1
         assert len(closures) == 1
 
     def test_critical_pairs_on_builds_one_closure(self, mon_polygraph, closures):
         d = parse_diagram("(mu * id 2) ; (mu * id 1) ; mu", mon_polygraph.signature)
         assert len(critical_pairs_on(mon_polygraph, d)) == 1
         assert len(closures) == 1
+
+
+def unfiltered_matches(d, *patterns):
+    """``(pattern, occurrences, context)`` of every match: the closure scan
+    of ``find_matches`` over every pattern, with no wire-kind test, building
+    each context where the match is first found."""
+    subject = canonical_form(d)
+    pats = [canonical_form(pattern) for pattern in patterns]
+    found = {}
+    for slices, ids in exchange_closure_with_ids(subject):
+        widths = [subject.input_width]
+        for s in slices:
+            widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
+        for n, pat in enumerate(pats):
+            k = len(pat)
+            for i in range(len(slices) - k + 1):
+                shift = slices[i].offset - pat.slices[0].offset
+                right = widths[i] - shift - pat.input_width
+                if shift < 0 or right < 0 or any(
+                        slices[i + j].gen != pat.slices[j].gen
+                        or slices[i + j].offset != pat.slices[j].offset + shift
+                        for j in range(k)):
+                    continue
+                key = (n, frozenset(ids[i: i + k]))
+                if key not in found:
+                    found[key] = Context(
+                        Diagram(subject.input_width, slices[:i]), shift, right,
+                        Diagram(widths[i] - pat.input_width + pat.output_width,
+                                slices[i + k:]))
+    return sorted(((n, occ, ctx) for (n, occ), ctx in found.items()),
+                  key=lambda m: (m[0], sorted(m[1])))
+
+
+class TestWireKinds:
+    """``find_matches`` skips a pattern whose wire kinds the subject lacks;
+    that must never lose a match, and contexts built on first read must be
+    the ones built eagerly."""
+
+    def test_kinds(self, mon_polygraph):
+        p = counit_polygraph()
+        assert _wire_kinds(parse_diagram(
+            "(mu * id 1) ; mu", mon_polygraph.signature)) == {
+                "mu", ("mu", 0, "mu", 0)}
+        assert _wire_kinds(parse_diagram(
+            "eta ; delta ; (id 1 * eps)", p.signature)) == {
+                "eta", "delta", "eps", ("eta", 0, "delta", 0),
+                ("delta", 1, "eps", 0)}
+        assert _wire_kinds(identity(2)) == frozenset()
+
+    @pytest.mark.parametrize("p, max_slices, max_width", [
+        (get_preset("mon").polygraph, 3, 3),
+        (get_preset("sym_prime").polygraph, 3, 3),
+        (counit_polygraph(), 3, 2),
+    ], ids=["mon", "sym_prime", "counit"])
+    def test_rejection_is_sound(self, p, max_slices, max_width):
+        pats = [side for r in p.rules for side in (r.lhs, r.rhs) if len(side)]
+        brute = TestFindMatches().brute_force_match_count
+        rejected = 0
+        for d in all_diagrams(p.signature, max_slices, max_width):
+            kinds = _wire_kinds(d)
+            for pat in pats:
+                if not _wire_kinds(pat) <= kinds:
+                    rejected += 1
+                    assert not brute(d, pat), (print_diagram(d), print_diagram(pat))
+            got = [(m.pattern, m.occurrences, m.context)
+                   for m in find_matches(d, *pats)]
+            assert got == unfiltered_matches(d, *pats), print_diagram(d)
+        assert rejected
+
+    def test_reading_first_context_builds_one(self, mon_polygraph, monkeypatch):
+        built = []
+        build = polyrew.rewrite.Context
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(polyrew.rewrite, "Context", counting)
+        d = parse_diagram("(mu * id 2) ; (mu * id 1) ; mu", mon_polygraph.signature)
+        ms = find_matches(d, mon_polygraph.rule("alpha").lhs)
+        assert len(ms) == 2 and not built
+        assert ms[0].context is ms[0].context
+        assert len(built) == 1
 
 
 class TestSteps:

@@ -223,3 +223,22 @@ class TestDeepChains:
             "x1 + x2 + x3 + x1 + 2")
         assert str(Add(Const(1), Add(Max(Add(I, J), Const(2)), K))) == (
             "1 + max(x1 + x2, 2) + x3")
+
+    def test_deep_max_prints(self):
+        # A max chain prints nested, one ``max(`` per node, at any depth.
+        n = 1500
+        e = parse_expr("max(i, " * n + "j" + ")" * n, ("i", "j"))
+        assert str(e) == "max(x1, " * n + "x2" + ")" * n
+
+    @pytest.mark.parametrize("e, text", [
+        (Max(I, J), "max(x1, x2)"),
+        (Add(Add(I, Const(2)), Max(J, Add(I, J))), "x1 + 2 + max(x2, x1 + x2)"),
+        (Max(Add(I, Add(J, Const(1))), Max(Const(0), I)),
+         "max(x1 + x2 + 1, max(0, x1))"),
+        (Add(Max(I, J), Add(Max(Add(I, I), J), Const(3))),
+         "max(x1, x2) + max(x1 + x1, x2) + 3"),
+        (Max(Max(Max(I, J), Add(Max(I, Const(1)), K)), Const(5)),
+         "max(max(max(x1, x2), max(x1, 1) + x3), 5)"),
+    ])
+    def test_mixed_prints(self, e, text):
+        assert str(e) == text
