@@ -112,10 +112,31 @@ class Max(MonotoneExpr):
     right: MonotoneExpr
 
     def eval(self, args):
-        return max(e.eval(args) for e in _operands(self))
+        return _eval(self, args)
 
     def __str__(self):
         return _text(self)
+
+
+def _eval(e: MonotoneExpr, args: tuple[int, ...]) -> int:
+    """``e`` at ``args``, in postorder from an explicit stack: an operator's
+    class, pushed below its operands, combines their two values.  Nesting of
+    either kind, alternating or not, is not bounded by the recursion limit."""
+    vals, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        if e is Add:
+            b = vals.pop()
+            vals[-1] += b
+        elif e is Max:
+            b = vals.pop()
+            if b > vals[-1]:
+                vals[-1] = b
+        elif type(e) is Add or type(e) is Max:
+            todo += type(e), e.right, e.left
+        else:
+            vals.append(e.eval(args))
+    return vals[0]
 
 
 def _text(e: MonotoneExpr) -> str:

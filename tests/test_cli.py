@@ -173,11 +173,13 @@ class TestTermination:
     @pytest.mark.parametrize("deep, shallow", [
         (f"{'i + (' * 1499}j{')' * 1499}", f"{'i + ' * 1499}j"),
         (f"{'max(i, ' * 1500}j{')' * 1500}", "max(i, j)"),
-    ], ids=["sum", "max"])
+        (f"{'max(i, i + ' * 600}j{')' * 600}", f"{'i + ' * 600}j"),
+    ], ids=["sum", "max", "alternating"])
     def test_deep_chain_interp_matches_shallow(self, capsys, tmp_path,
                                                 deep, shallow):
-        # A sum nested to the right and a chain of max, 1,500 deep, give
-        # the exit code and report of their shallow equivalents.
+        # A sum nested to the right and a chain of max, 1,500 deep, and
+        # ``max(i, i + max(i, i + … j))`` 600 deep, give the exit code and
+        # report of their flat equivalents.
         results = []
         for name, x_mu in (("deep", deep), ("shallow", shallow)):
             interp = tmp_path / f"{name}.interp"

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import polyrew.diagram as diagram_module
+from polyrew.coherence import get_preset
 from polyrew.diagram import (
     Diagram,
     DiagramError,
@@ -12,6 +14,7 @@ from polyrew.diagram import (
     Signature,
     Slice,
     _commute,
+    _fronts,
     _swap,
     canonical_form,
     canonical_form_with_ids,
@@ -227,14 +230,117 @@ class TestExchangeOracle:
 
 
 class TestIterativeCanonicalForm:
-    """The loop in ``_lex_min`` against the recursive, tie-forking search it
-    replaced, kept here as the reference."""
+    """``_lex_min`` keeps each remaining slice's upward walk between rounds
+    and redoes only the walks an emission can change.  It is checked against
+    two references kept here: the recursive, tie-forking search, and the
+    branch loop that walked every remaining slice again each round
+    (``branch_loop_lex_min``).  Both must give the same ``(canon, ids)``."""
 
     SIG = Signature(
         "MuEtaDeltaEps",
         (MU, ETA, GeneratorSym("delta", 1, 2), GeneratorSym("eps", 1, 0)),
         is_prop=True,
     )
+
+    @staticmethod
+    def branch_loop_lex_min(entries):
+        """The branch loop over ``_fronts``: each round walks every remaining
+        slice of every branch and keeps the fronts with the least
+        ``(offset, name)``, in branch order then slice order."""
+        branches = [([], entries)]
+        while branches[0][1]:
+            fronts = [(f, f_id, done, tail)
+                      for done, rest in branches for f, f_id, tail in _fronts(rest)]
+            best = min((f.offset, f.gen.name) for f, _, _, _ in fronts)
+            branches = [(done + [(f, f_id)], tail) for f, f_id, done, tail in fronts
+                        if (f.offset, f.gen.name) == best]
+        return branches[0][0]
+
+    @classmethod
+    def assert_matches_branch_loop(cls, d):
+        canon, ids = canonical_form_with_ids(d)
+        expected = cls.branch_loop_lex_min([(s, i) for i, s in enumerate(d.slices)])
+        assert list(zip(canon.slices, ids)) == expected, d
+
+    @staticmethod
+    def long_random_diagram(sig, rng, max_width, max_units):
+        """10 to 40 slices, at most ``max_units`` of them of arity 0: ties
+        need arity-0 fronts, and parallel ones multiply the branches.  A
+        draw that gets stuck before 10 slices is drawn again."""
+        gens = sig.all_generators()
+        while True:
+            w0 = w = rng.randint(0, max_width)
+            slices, units = [], 0
+            for _ in range(rng.randint(10, 40)):
+                options = [
+                    Slice(off, g)
+                    for g in gens
+                    if g.arity or units < max_units
+                    for off in range(w - g.arity + 1)
+                    if w - g.arity + g.coarity <= max_width + 2
+                ]
+                if not options:
+                    break
+                s = rng.choice(options)
+                slices.append(s)
+                units += not s.gen.arity
+                w += s.gen.coarity - s.gen.arity
+            if len(slices) >= 10:
+                return Diagram(w0, tuple(slices))
+
+    @pytest.mark.parametrize("preset", ["MuEtaDeltaEps", "mon", "sym_prime"])
+    def test_matches_branch_loop_on_long_diagrams(self, preset, mon_sig):
+        sig = {"MuEtaDeltaEps": self.SIG, "mon": mon_sig,
+               "sym_prime": get_preset("sym_prime").polygraph.signature}[preset]
+        rng = random.Random(f"branch-loop/{preset}")
+        for _ in range(150):
+            d = self.long_random_diagram(sig, rng, max_width=4, max_units=5)
+            self.assert_matches_branch_loop(d)
+
+    def test_matches_branch_loop_on_combs_and_ties(self):
+        delta, eps = self.SIG.lookup("delta"), self.SIG.lookup("eps")
+        n = 300
+        right = Diagram(n + 1, tuple(Slice(m - 1, MU) for m in range(n, 0, -1)))
+        left = Diagram(n + 1, tuple(Slice(0, MU) for _ in range(n)))
+        loops = Diagram(0, (Slice(0, ETA), Slice(0, eps)) * 4)
+        cases = [right, left, loops, self.parallel(7),
+                 parse_diagram("eta ; (eta * id 1) ; (delta * id 1)", self.SIG),
+                 parse_diagram("(id 1 * eps * id 1) ; (id 2 * eta) ; "
+                               "(id 1 * eps * id 1)", self.SIG),
+                 parse_diagram("eta ; delta ; (eta * id 2) ; (eps * id 2)", self.SIG)]
+        rng = random.Random(20261019)
+        for _ in range(200):
+            # Units, counits and splits only: every tie is an eta tie, and
+            # eps and delta move the points where the etas meet.
+            w = 0
+            slices = []
+            for _ in range(rng.randint(6, 14)):
+                g = rng.choice((ETA, ETA, eps, delta) if w else (ETA,))
+                slices.append(Slice(rng.randint(0, w - g.arity), g))
+                w += g.coarity - g.arity
+            cases.append(Diagram(0, tuple(slices)))
+        for d in cases:
+            self.assert_matches_branch_loop(d)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_comb_walks_are_linear(self, side, monkeypatch):
+        # Each walk is kept until an emission can change it, so a comb of
+        # n mu makes n - 1 _commute calls, not the n(n - 1)/2 of a loop
+        # that walks every remaining slice each round.
+        n = 10_000
+        offsets = [0] * n if side == "left" else range(n - 1, -1, -1)
+        d = Diagram(n + 1, tuple(Slice(off, MU) for off in offsets))
+        calls = 0
+
+        def counting_commute(a, b):
+            nonlocal calls
+            calls += 1
+            return _commute(a, b)
+
+        monkeypatch.setattr(diagram_module, "_commute", counting_commute)
+        canon, ids = canonical_form_with_ids.__wrapped__(d)
+        assert (canon, ids) == (d, tuple(range(n)))
+        assert calls <= 2 * n
 
     @staticmethod
     def front_candidates(entries):

@@ -224,6 +224,15 @@ class TestDeepChains:
         assert str(Add(Const(1), Add(Max(Add(I, J), Const(2)), K))) == (
             "1 + max(x1 + x2, 2) + x3")
 
+    def test_alternating_chains_evaluate(self):
+        # ``max`` and ``+`` alternating, 600 levels, in either order at the
+        # top: the evaluation keeps its own stack across both kinds.
+        n = 600
+        for text, at_9_1 in (("max(i, i + " * n + "j" + ")" * n, 9 * n + 1),
+                             ("i + max(i, " * n + "j" + ")" * n, 9 * n + 9)):
+            e = parse_expr(text, ("i", "j"))
+            assert (e.eval((2, 3)), e.eval((9, 1))) == (2 * n + 3, at_9_1)
+
     def test_deep_max_prints(self):
         # A max chain prints nested, one ``max(`` per node, at any depth.
         n = 1500
