@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .braid import BraidWord, block_crossing, braid_concat, garside_nf
+from .braid import BraidWord, block_crossing, garside_nf
 from .critical import s_construction, structural_rules
 from .diagram import (
     Diagram,
@@ -318,10 +318,12 @@ def braid_of_trace(t: Trace, p: Polygraph | None = None) -> BraidWord:
     if p is None:
         p = get_preset("br").polygraph
     sources = validate_trace(t, congruence_equiv(p))
-    word = BraidWord(t.source.input_width)
+    # One word from every step's letters: every step's source has the
+    # trace's input width, so its word has the same strands.
+    letters = []
     for s, source in zip(t.steps, sources):
-        word = braid_concat(word, _braid_of_redex(s, source))
-    return word
+        letters += _braid_of_redex(s, source).letters
+    return BraidWord(t.source.input_width, letters)
 
 
 # -- the deciders ----------------------------------------------------------

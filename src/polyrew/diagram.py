@@ -31,6 +31,7 @@ and ``;`` in the textual grammar is vertical composition read top to bottom.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -498,38 +499,37 @@ def exchange_closure(d: Diagram) -> list[tuple[Slice, ...]]:
 # -- parsing and printing -------------------------------------------------
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c in ";*()":
-            yield ("punct", c, line, col)
-            col += 1
-            i += 1
-        elif c.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            yield ("nat", text[i:j], line, col)
-            col += j - i
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("ident", text[i:j], line, col)
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} at line {line}, column {col}")
+# One match per token, after any whitespace: a punctuation mark, a natural
+# (decimal digits, as ``str.isdecimal``), a word (as ``str.isalnum``, plus
+# ``_``) or any other character, alone.
+_TOKEN = re.compile(r"\s*(?:([;*()])|(\d+)|(\w+)|(\S))")
+_KINDS = (None, "punct", "nat", "ident")
+
+
+def _where(text: str, start: int) -> str:
+    """``line N, column M`` of index ``start`` of ``text``, both 1-based."""
+    line = text.count("\n", 0, start) + 1
+    column = start - text.rfind("\n", 0, start)
+    return f"line {line}, column {column}"
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Every token of ``text`` as ``(kind, value, start index)``.
+
+    A word is an identifier only if it starts with a letter or ``_``; a
+    word that starts otherwise (``²``, ``Ⅷ``), like any character no class
+    takes, raises at its first character.
+    """
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        value = m.group(kind)
+        if kind == 4 or (kind == 3 and not (value[0].isalpha() or value[0] == "_")):
+            raise ParseError(
+                f"unexpected character {value[0]!r} at {_where(text, m.start(kind))}"
+            )
+        tokens.append((_KINDS[kind], value, m.start(kind)))
+    return tokens
 
 
 def parse_diagram(text: str, sig: Signature) -> Diagram:
@@ -538,16 +538,20 @@ def parse_diagram(text: str, sig: Signature) -> Diagram:
     Grammar: ``expr := term (';' term)*``, ``term := atom ('*' atom)*``,
     ``atom := 'id' nat | ident | '(' expr ')'``.  ``;`` is vertical
     composition read top to bottom, ``*`` horizontal read left to right.
-    One loop with an explicit stack, so nesting depth is bounded by memory
-    and not by the interpreter's recursion limit.
+    The whole text is tokenized first, so a lexical error wins over a
+    syntax error before it.  One loop with an explicit stack, so nesting
+    depth is bounded by memory and not by the interpreter's recursion
+    limit.  Atoms, terms and chains are kept as ``(input width, output
+    width, [(offset, gen)])``; the one ``Diagram`` is built at the end.
     """
-    tokens = list(_tokenize(text)) + [("end", "", 0, 0)]
+    tokens = _tokenize(text)
+    tokens.append(("end", "", len(text)))
     pos = 0
     # One frame per open parenthesis: the finished terms of its ';' chain
     # and the atoms of its current '*' term.
     stack = [([], [])]
     while True:
-        kind, value, line, col = tokens[pos]
+        kind, value, start = tokens[pos]
         pos += 1
         if kind == "end":
             raise ParseError("unexpected end of input")
@@ -555,54 +559,68 @@ def parse_diagram(text: str, sig: Signature) -> Diagram:
             stack.append(([], []))
             continue
         if value == "id":
-            kind, value, line, col = tokens[pos]
+            kind, value, start = tokens[pos]
             pos += 1
             if kind == "end":
                 raise ParseError("unexpected end of input")
             if kind != "nat":
                 raise ParseError(
-                    f"expected a natural after 'id' at line {line}, column {col}"
+                    f"expected a natural after 'id' at {_where(text, start)}"
                 )
-            atom = identity(int(value))
+            n = int(value)
+            atom = (n, n, [])
         elif kind == "ident":
             try:
-                atom = generator_diagram(sig.lookup(value))
+                g = sig.lookup(value)
             except DiagramError:
                 raise ParseError(
-                    f"unknown generator {value!r} at line {line}, column {col}"
+                    f"unknown generator {value!r} at {_where(text, start)}"
                 ) from None
+            atom = (g.arity, g.coarity, [(0, g)])
         else:
-            raise ParseError(f"unexpected token {value!r} at line {line}, column {col}")
+            raise ParseError(f"unexpected token {value!r} at {_where(text, start)}")
         stack[-1][1].append(atom)
         # After an atom: '*' extends the term and anything else ends it;
         # each ')' then closes a frame into one atom of the frame below.
         while True:
-            kind, value, line, col = tokens[pos]
+            kind, value, start = tokens[pos]
             if value == "*":
                 pos += 1
                 break
             terms, atoms = stack[-1]
-            t = hcomp(*atoms)
+            if len(atoms) == 1:
+                t = atoms[0]
+            else:
+                # Side by side: each atom shifted by the outputs left of it.
+                ins = outs = 0
+                slices = []
+                for a_in, a_out, a_slices in atoms:
+                    slices += [(o + outs, g) for o, g in a_slices]
+                    ins += a_in
+                    outs += a_out
+                t = (ins, outs, slices)
             atoms.clear()
-            if terms and terms[-1].output_width != t.input_width:
-                raise ParseError(f"width mismatch in ';': "
-                                 f"{terms[-1].output_width} vs {t.input_width}")
+            if terms and terms[-1][1] != t[0]:
+                raise ParseError(f"width mismatch in ';': {terms[-1][1]} vs {t[0]}")
             terms.append(t)
             if value == ";":
                 pos += 1
                 break
-            chain = vcomp(*terms)
+            if len(terms) == 1:
+                chain = t
+            else:
+                chain = (terms[0][0], t[1], [s for u in terms for s in u[2]])
             if len(stack) == 1:
                 if kind != "end":
                     raise ParseError(
-                        f"trailing input {value!r} at line {line}, column {col}"
+                        f"trailing input {value!r} at {_where(text, start)}"
                     )
-                return chain
+                return Diagram(chain[0], tuple(Slice(o, g) for o, g in chain[2]))
             if kind == "end":
                 raise ParseError("unexpected end of input")
             if value != ")":
                 raise ParseError(
-                    f"expected ')' but found {value!r} at line {line}, column {col}"
+                    f"expected ')' but found {value!r} at {_where(text, start)}"
                 )
             pos += 1
             stack.pop()

@@ -38,10 +38,10 @@ from .diagram import (
     canonical_form,
     diagram_equal,
     exchange_closure_with_ids,
-    hcomp,
     identity,
     parse_diagram,
     print_diagram,
+    vcomp,
 )
 
 
@@ -147,8 +147,11 @@ class Context:
                 f"pattern width {pattern.input_width} with whiskers "
                 f"({self.left}, {self.right})"
             )
-        middle = hcomp(identity(self.left), pattern, identity(self.right))
-        return self.top.vcomp(middle).vcomp(self.bottom)
+        # The pattern whiskered by ``left`` and ``right`` identity wires.
+        shifted = (tuple(s.shifted(self.left) for s in pattern.slices)
+                   if self.left else pattern.slices)
+        middle = Diagram(self.top.output_width, shifted)
+        return vcomp(self.top, middle, self.bottom)
 
 
 def identity_context(pattern: Diagram) -> Context:
@@ -440,9 +443,19 @@ def parse_trace(text: str, p: Polygraph) -> Trace:
 
     Header ``trace <name> on <expr>``; body lines
     ``step <rule> <+|-> top=<expr> left=<nat> right=<nat> bot=<expr>``.
+    Each distinct expression text is parsed once per call; its repeats
+    share the one (immutable) ``Diagram``.
     """
     source: Diagram | None = None
     steps: list[Step] = []
+    parsed: dict[str, Diagram] = {}
+
+    def parse(expr: str) -> Diagram:
+        d = parsed.get(expr)
+        if d is None:
+            d = parsed[expr] = parse_diagram(expr, p.signature)
+        return d
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -451,7 +464,7 @@ def parse_trace(text: str, p: Polygraph) -> Trace:
         if m:
             if source is not None:
                 raise RewriteError(f"line {lineno}: duplicate trace header")
-            source = parse_diagram(m.group(2), p.signature)
+            source = parse(m.group(2))
             continue
         m = _STEP_RE.fullmatch(line)
         if m:
@@ -460,10 +473,7 @@ def parse_trace(text: str, p: Polygraph) -> Trace:
             rule = p.rule(m.group(1))
             direction = "forward" if m.group(2) == "+" else "backward"
             ctx = Context(
-                parse_diagram(m.group(3), p.signature),
-                int(m.group(4)),
-                int(m.group(5)),
-                parse_diagram(m.group(6), p.signature),
+                parse(m.group(3)), int(m.group(4)), int(m.group(5)), parse(m.group(6))
             )
             steps.append(Step(rule, direction, ctx))
             continue

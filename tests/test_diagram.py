@@ -28,6 +28,7 @@ from polyrew.diagram import (
     vcomp,
 )
 from conftest import ETA, MU
+from parse_oracle import oracle_parse_diagram
 
 
 def all_diagrams(sig, max_slices, max_input_width):
@@ -428,6 +429,30 @@ class TestInterchange:
         assert diagram_equal(lhs2, rhs2)
 
 
+#: Bad expressions over mon and the exact message each must raise.
+ERROR_CASES = [
+    ("", "unexpected end of input"),
+    ("mu ;", "unexpected end of input"),
+    ("((mu * id 1) ; mu", "unexpected end of input"),
+    ("mu ; (eta", "unexpected end of input"),
+    ("(mu mu)", "expected ')' but found 'mu' at line 1, column 5"),
+    ("(id 1 * mu eta", "expected ')' but found 'eta' at line 1, column 12"),
+    ("mu )", "trailing input ')' at line 1, column 4"),
+    ("mu eta", "trailing input 'eta' at line 1, column 4"),
+    ("id", "unexpected end of input"),
+    ("id mu", "expected a natural after 'id' at line 1, column 4"),
+    ("mu ;\n  id x", "expected a natural after 'id' at line 2, column 6"),
+    ("mu * nu", "unknown generator 'nu' at line 1, column 6"),
+    (";", "unexpected token ';' at line 1, column 1"),
+    ("mu * * eta", "unexpected token '*' at line 1, column 6"),
+    ("()", "unexpected token ')' at line 1, column 2"),
+    ("(mu ; eta)", "width mismatch in ';': 1 vs 0"),
+    ("mu ; mu ; )", "width mismatch in ';': 1 vs 2"),
+    ("(mu ; mu) ; !", "unexpected character '!' at line 1, column 13"),
+    ("mu ( !", "unexpected character '!' at line 1, column 6"),
+]
+
+
 class TestGrammar:
     def test_alpha_source(self, mon_sig):
         d = parse_diagram("(mu * id 1) ; mu", mon_sig)
@@ -465,27 +490,7 @@ class TestGrammar:
         with pytest.raises(ParseError, match="width mismatch"):
             parse_diagram("mu ; mu", mon_sig)
 
-    @pytest.mark.parametrize("text, message", [
-        ("", "unexpected end of input"),
-        ("mu ;", "unexpected end of input"),
-        ("((mu * id 1) ; mu", "unexpected end of input"),
-        ("mu ; (eta", "unexpected end of input"),
-        ("(mu mu)", "expected ')' but found 'mu' at line 1, column 5"),
-        ("(id 1 * mu eta", "expected ')' but found 'eta' at line 1, column 12"),
-        ("mu )", "trailing input ')' at line 1, column 4"),
-        ("mu eta", "trailing input 'eta' at line 1, column 4"),
-        ("id", "unexpected end of input"),
-        ("id mu", "expected a natural after 'id' at line 1, column 4"),
-        ("mu ;\n  id x", "expected a natural after 'id' at line 2, column 6"),
-        ("mu * nu", "unknown generator 'nu' at line 1, column 6"),
-        (";", "unexpected token ';' at line 1, column 1"),
-        ("mu * * eta", "unexpected token '*' at line 1, column 6"),
-        ("()", "unexpected token ')' at line 1, column 2"),
-        ("(mu ; eta)", "width mismatch in ';': 1 vs 0"),
-        ("mu ; mu ; )", "width mismatch in ';': 1 vs 2"),
-        ("(mu ; mu) ; !", "unexpected character '!' at line 1, column 13"),
-        ("mu ( !", "unexpected character '!' at line 1, column 6"),
-    ])
+    @pytest.mark.parametrize("text, message", ERROR_CASES)
     def test_error_messages(self, mon_sig, text, message):
         with pytest.raises(ParseError) as exc:
             parse_diagram(text, mon_sig)
@@ -495,3 +500,101 @@ class TestGrammar:
         depth = 100_000
         d = parse_diagram("(" * depth + "mu" + ")" * depth, mon_sig)
         assert d == generator_diagram(MU)
+
+
+def parse_outcome(parse, text, sig):
+    """The diagram ``parse`` builds, or the type and message it raises."""
+    try:
+        return parse(text, sig)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestParserOracle:
+    """``parse_diagram`` (one regular expression, one ``Diagram`` at the end)
+    against the character loop and stack parser in ``parse_oracle``: the
+    same diagram, or the same error type and message, on every input."""
+
+    EDGE_CASES = [
+        "id \u0661\u0662",  # Arabic-Indic digits: a natural
+        "id \u00b2",  # superscript two: a digit, not decimal
+        "\u2167",  # Roman numeral eight: numeric, not a letter
+        "\u00e9",
+        "_x",
+        "mu2",
+        "12mu",
+        "id 2",
+        "mu *\u3000mu",  # ideographic space
+        "(mu * id 1)\r\n;\tmu ;\n\n  (eta\n * !)",
+        "mu ;\n\n\t id \u00b2",
+        "mu\u2028;\x0bmu ; #",
+        "",
+        "  \n\t",
+        "id 0 ; id 0",
+    ]
+
+    def assert_agrees(self, text, sig):
+        assert (parse_outcome(parse_diagram, text, sig)
+                == parse_outcome(oracle_parse_diagram, text, sig)), repr(text)
+
+    @pytest.mark.parametrize("text, message", ERROR_CASES)
+    def test_error_messages(self, mon_sig, text, message):
+        assert parse_outcome(oracle_parse_diagram, text, mon_sig) == (
+            "ParseError", message)
+        self.assert_agrees(text, mon_sig)
+
+    def test_edge_cases(self, mon_sig, prop_sig):
+        for text in self.EDGE_CASES:
+            self.assert_agrees(text, mon_sig)
+            self.assert_agrees(text, prop_sig)
+
+    @staticmethod
+    def respaced(d, rng):
+        """``print_diagram(d)`` with redundant parentheses round some terms
+        and generators and round the whole, each space replaced by a random
+        run of spaces, tabs and line breaks, and each parenthesis padded
+        by such a run or by nothing."""
+        def wrap(word):
+            name = word.strip("()")
+            if name in ("id", "*") or name.isdigit() or rng.random() >= 0.3:
+                return word
+            return word.replace(name, f"({name})")
+
+        terms = []
+        for term in print_diagram(d).split(" ; "):
+            term = " ".join(wrap(w) for w in term.split(" "))
+            terms.append(f"( {term} )" if rng.random() < 0.3 else term)
+        text = "(" * (k := rng.randint(0, 3)) + " ; ".join(terms) + ")" * k
+        gaps = ["", " ", "\t", "\n", " \n\t ", "\r\n"]
+        out = []
+        for c in text:
+            if c == " ":
+                # A space between two words must stay a gap.
+                out.append(rng.choice(gaps[1:]))
+            elif c in "()":
+                out.append(rng.choice(gaps) + c + rng.choice(gaps))
+            else:
+                out.append(c)
+        return "".join(out)
+
+    @pytest.mark.parametrize("preset", ["mon", "sym_prime", "br"])
+    def test_printed_random_diagrams(self, preset):
+        sig = get_preset(preset).polygraph.signature
+        rng = random.Random(preset)
+        broken = 0
+        for _ in range(300):
+            d = random_diagram(sig, rng, max_slices=8)
+            text = self.respaced(d, rng)
+            assert parse_diagram(text, sig) == d, repr(text)
+            self.assert_agrees(text, sig)
+            # And with one character inserted or deleted, which mostly
+            # breaks the text at some line and column.
+            i = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5 and i < len(text):
+                bad = text[:i] + text[i + 1:]
+            else:
+                bad = text[:i] + rng.choice("!)(;*\u00b2\u00e9 7\n") + text[i:]
+            out = parse_outcome(oracle_parse_diagram, bad, sig)
+            broken += isinstance(out, tuple)
+            self.assert_agrees(bad, sig)
+        assert broken > 100

@@ -8,6 +8,8 @@ import pytest
 
 from polyrew.diagram import (
     Diagram,
+    DiagramError,
+    ParseError,
     Slice,
     _commute,
     _swap,
@@ -15,6 +17,7 @@ from polyrew.diagram import (
     diagram_equal,
     exchange_closure,
     exchange_closure_with_ids,
+    hcomp,
     identity,
     parse_diagram,
     print_diagram,
@@ -395,6 +398,68 @@ class TestSteps:
                     assert out.output_width == d.output_width
 
 
+def two_fold_plug(ctx, pattern):
+    """``Context.plug`` as two binary vertical composites."""
+    if ctx.top.output_width != ctx.left + pattern.input_width + ctx.right:
+        raise RewriteError("context does not frame the pattern")
+    middle = hcomp(identity(ctx.left), pattern, identity(ctx.right))
+    return ctx.top.vcomp(middle).vcomp(ctx.bottom)
+
+
+def diagram_from(sig, rng, width, max_slices=5):
+    """A random diagram over ``sig`` with input width ``width``."""
+    slices, w = [], width
+    for _ in range(rng.randint(0, max_slices)):
+        options = [Slice(off, g) for g in sig.all_generators()
+                   for off in range(w - g.arity + 1)]
+        if not options:
+            break
+        slices.append(rng.choice(options))
+        w += slices[-1].gen.coarity - slices[-1].gen.arity
+    return Diagram(width, tuple(slices))
+
+
+class TestPlug:
+    """``Context.plug`` builds the composite with one three-way ``vcomp``."""
+
+    @pytest.mark.parametrize("preset", ["mon", "br"])
+    def test_matches_two_fold_plug(self, preset):
+        p = get_preset(preset).polygraph
+        sig = p.signature
+        rng = random.Random(preset)
+        mismatches = 0
+        for _ in range(300):
+            pattern = rng.choice(p.rules).side(rng.choice(["forward", "backward"]))
+            top = diagram_from(sig, rng, rng.randint(0, 6))
+            while top.output_width < pattern.input_width:
+                top = diagram_from(sig, rng, rng.randint(0, 6))
+            left = rng.randint(0, top.output_width - pattern.input_width)
+            right = top.output_width - pattern.input_width - left
+            # Now and then a bottom of the wrong width.
+            width = top.output_width - pattern.input_width + pattern.output_width
+            if rng.random() < 0.2:
+                width = rng.randint(0, 6)
+            ctx = Context(top, left, right, diagram_from(sig, rng, width))
+            try:
+                want = two_fold_plug(ctx, pattern)
+            except DiagramError as exc:
+                mismatches += 1
+                with pytest.raises(DiagramError) as got:
+                    ctx.plug(pattern)
+                assert str(got.value) == str(exc)
+            else:
+                assert ctx.plug(pattern) == want
+        assert 0 < mismatches < 300
+
+    def test_bottom_of_wrong_width(self, mon_polygraph):
+        alpha = mon_polygraph.rule("alpha")
+        ctx = Context(identity(4), 1, 0, identity(3))
+        with pytest.raises(DiagramError) as exc:
+            ctx.plug(alpha.lhs)
+        assert str(exc.value) == (
+            "vertical composition mismatch: output width 2 vs input width 3")
+
+
 class TestNormalize:
     def test_alpha_one_step(self, as_polygraph):
         d = parse_diagram("(mu * id 1) ; mu", as_polygraph.signature)
@@ -550,3 +615,28 @@ rule rho : (id 1 * eta) ; mu => id 1
     def test_bad_line(self):
         with pytest.raises(RewriteError, match="line 1"):
             parse_polygraph("nonsense here")
+
+    def test_trace_shares_repeated_expressions(self, mon_polygraph):
+        text = (
+            "trace t on (mu * id 2) ; (mu * id 1) ; mu\n"
+            "step alpha + top=(mu * id 2) left=0 right=0 bot=id 1\n"
+            "step alpha - top=(mu * id 2) left=0 right=0 bot=id 1\n"
+        )
+        t = parse_trace(text, mon_polygraph)
+        first, second = t.steps
+        assert first.context.top is second.context.top
+        assert first.context.bottom is second.context.bottom
+        assert t.source == parse_diagram("(mu * id 2) ; (mu * id 1) ; mu",
+                                         mon_polygraph.signature)
+        validate_trace(t)
+
+    def test_bad_expression_on_later_line(self, mon_polygraph):
+        text = (
+            "trace t on (mu * id 2) ; (mu * id 1) ; mu\n"
+            "step alpha + top=(mu * id 2) left=0 right=0 bot=id 1\n"
+            "\n"
+            "step alpha - top=(mu * id 2) left=0 right=0 bot=id 1 ;\t; mu\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_trace(text, mon_polygraph)
+        assert str(exc.value) == "unexpected token ';' at line 1, column 8"
