@@ -367,18 +367,17 @@ class _Branch:
 
     def emit(self, front) -> None:
         """Exchange ``front`` to the top and emit it; walk again the other
-        fronts and the positions blocked by it or by a slice it passed.
-        Every other walk stops at a blocker below ``front`` and passes only
-        slices the emission left alone, so it stands."""
+        fronts and the positions blocked by it.  Every other walk stands: one
+        stopped below ``front`` passes only slices the emission left alone,
+        and one stopped at a slice ``front`` passed stops there still, since
+        exchanging a commuting slice upward leaves unchanged which slices
+        above it commute with the walks below it."""
         x, cur, moved = front
-        sl, pos, blocked = self.slices, self.remaining, self.blocked
+        sl, pos = self.slices, self.remaining
         i = bisect_left(pos, x)
-        todo = blocked.pop(x, [])
         for k, a2 in enumerate(moved, 1):
-            a = pos[i - k]
-            sl[a] = a2
-            if a in blocked:
-                todo += blocked.pop(a)
+            sl[pos[i - k]] = a2
+        todo = self.blocked.pop(x, [])
         del pos[i]
         self.emitted = (self.emitted, cur, x)
         todo += self.fronts
@@ -397,16 +396,13 @@ def _lex_min(entries: list[tuple[Slice, int]]) -> list[tuple[Slice, int]]:
 
     Each remaining slice's upward walk is kept between rounds (see
     ``_Branch``).  Emitting a front swaps the slices above it and removes
-    it.  A walk from below it that stopped at a blocker below it passes
-    only slices the emission left alone, the same ``Slice`` objects in the
-    same order, so it would stop there again and is kept.  Every other walk
-    is redone with the same ``_commute`` and ``_swap`` calls: the other
-    fronts, and the walks that stopped at the emitted slice or at a slice
-    above it, which covers every slice above it.  So the forms and ids are
-    those of the loop that walks every remaining slice each round, exactly,
-    for arity-0 and coarity-0 generators too, and a comb of n slices makes
-    n - 1 ``_commute`` calls instead of n(n - 1)/2.  A branch is copied
-    only when it splits on a tie.
+    it; only the other fronts and the walks that stopped at it are redone,
+    with the same ``_commute`` and ``_swap`` calls (``_Branch.emit`` says
+    why every other walk stands).  So the forms and ids are those of the
+    loop that walks every remaining slice each round, for arity-0 and
+    coarity-0 generators too, and a comb of n slices makes n - 1
+    ``_commute`` calls instead of n(n - 1)/2.  A branch is copied only when
+    it splits on a tie.
     """
     n = len(entries)
     branch = _Branch(None, [s for s, _ in entries], list(range(n)), {})

@@ -41,6 +41,9 @@ class MonotoneExpr:
     def eval(self, args: tuple[int, ...]) -> int:
         raise NotImplementedError
 
+    def __str__(self):
+        return _text(self)
+
 
 @dataclass(frozen=True)
 class Var(MonotoneExpr):
@@ -64,20 +67,6 @@ class Const(MonotoneExpr):
         return str(self.value)
 
 
-def _operands(e: MonotoneExpr) -> list[MonotoneExpr]:
-    """The operands, left to right, of the chain of nodes of ``e``'s type
-    rooted at ``e``, nested on either side; walked with an explicit stack, so
-    a chain is not bounded by the recursion limit."""
-    kind, todo, out = type(e), [e], []
-    while todo:
-        e = todo.pop()
-        if type(e) is kind:
-            todo += e.right, e.left
-        else:
-            out.append(e)
-    return out
-
-
 @dataclass(frozen=True)
 class Add(MonotoneExpr):
     left: MonotoneExpr
@@ -87,8 +76,8 @@ class Add(MonotoneExpr):
         # The parser nests sums to the left: walk that spine in a loop, and
         # each right operand that is itself a sum the same way, from a stack
         # of nested pairs, so a flat sum builds no list.  ``check_decrease``
-        # calls this per grid point and slice; going through ``_operands``
-        # made it half again as slow on mon.
+        # calls this per grid point and slice; going through ``_eval`` made
+        # a flat sum three times as slow.
         total, e, todo = 0, self, None
         while True:
             while type(e) is Add:
@@ -102,9 +91,6 @@ class Add(MonotoneExpr):
                 return total
             e, todo = todo
 
-    def __str__(self):
-        return _text(self)
-
 
 @dataclass(frozen=True)
 class Max(MonotoneExpr):
@@ -113,9 +99,6 @@ class Max(MonotoneExpr):
 
     def eval(self, args):
         return _eval(self, args)
-
-    def __str__(self):
-        return _text(self)
 
 
 def _eval(e: MonotoneExpr, args: tuple[int, ...]) -> int:
@@ -140,41 +123,46 @@ def _eval(e: MonotoneExpr, args: tuple[int, ...]) -> int:
 
 
 def _text(e: MonotoneExpr) -> str:
-    """``e`` printed as ``a + b + c`` and ``max(a, b)``, sums flattened:
-    pieces are popped from an explicit stack, so nesting of either kind is
-    not bounded by the recursion limit."""
+    """``e`` printed as ``a + b + c`` and ``max(a, b)``; a sum needs no
+    parentheses, so it prints flat however it nests.  Pieces are popped from
+    an explicit stack, so nesting of either kind is not bounded by the
+    recursion limit."""
     out, todo = [], [e]
     while todo:
         e = todo.pop()
         if type(e) is Max:
             todo += ")", e.right, ", ", e.left, "max("
         elif type(e) is Add:
-            ops = _operands(e)
-            todo.append(ops.pop())
-            for op in reversed(ops):
-                todo += " + ", op
+            todo += e.right, " + ", e.left
         else:
             out.append(str(e))
     return "".join(out)
 
 
-_TOKEN = re.compile(r"\d+|\w+|[+(),]")
+#: A token of the grammar, or (the second group) any other character.
+_TOKEN = re.compile(r"(\d+|\w+|[+(),])|(\S)")
 
 
 def _parse_sums(text: str, variables: tuple[str, ...],
                 listed: bool) -> list[MonotoneExpr]:
     """The sum ``expr := atom ('+' atom)*`` in ``text``, ``atom := nat | var
     | 'max' '(' expr ',' expr ')' | '(' expr ')'``, or if ``listed`` those
-    between its top-level commas, blank ones dropped.  One loop with an
-    explicit stack, so nesting is not bounded by the recursion limit."""
-    toks = list(_TOKEN.finditer(text))
-    pos = mark = 0  # ``mark``: where the current listed sum starts
+    between its top-level commas, blank ones dropped.  A character the
+    grammar does not define is an error.  One loop with an explicit stack,
+    so nesting is not bounded by the recursion limit."""
+    toks = []
+    for tok, other in _TOKEN.findall(text):
+        if other:
+            raise TerminationError(
+                f"unexpected character {other!r} in expression")
+        toks.append(tok)
+    pos = 0
     # ``stack`` holds per open parenthesis its kind, the sum left of it and
     # max's first argument; ``acc`` is the sum read so far inside it.
     stack, acc, out = [], None, []
 
     def peek():  # a top-level comma ends a listed sum as end of input would
-        tok = toks[pos].group() if pos < len(toks) else None
+        tok = toks[pos] if pos < len(toks) else None
         return None if listed and tok == "," and not stack else tok
 
     def take(want=None):
@@ -189,12 +177,9 @@ def _parse_sums(text: str, variables: tuple[str, ...],
 
     while True:
         if listed and not stack and acc is None and peek() is None:
-            at = toks[pos].start() if pos < len(toks) else len(text)
-            if text[mark:at].strip():  # stray characters but no token
-                raise TerminationError("unexpected end of expression")
             if pos == len(toks):
                 return out
-            pos, mark = pos + 1, at + 1
+            pos += 1
             continue
         tok = take()
         if tok in ("(", "max"):
@@ -224,7 +209,7 @@ def _parse_sums(text: str, variables: tuple[str, ...],
                 out.append(acc)
                 if pos == len(toks):
                     return out
-                acc, mark, pos = None, toks[pos].end(), pos + 1
+                acc, pos = None, pos + 1
                 break
             kind, outer, first = stack[-1]
             if kind == "max" and first is None:
@@ -282,7 +267,12 @@ class Interpretation:
                     f"X entry for {g.name} has {len(xs)} components, "
                     f"expected {g.coarity}"
                 )
-            self.d_of(g.name)
+            try:  # each entry reads at most the generator's arity values
+                for e in (*xs, self.d_of(g.name)):
+                    e.eval((1,) * g.arity)
+            except IndexError:
+                raise TerminationError(f"an entry for {g.name} reads more "
+                                       f"than {g.arity} variable(s)") from None
 
 
 def _walk(d: Diagram, inputs: list[int],

@@ -205,6 +205,25 @@ class TestTermination:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("X eta () = -1", "unexpected character '-' in expression"),
+        ("X mu (i, j, k) = k", "an entry for mu reads more than 2 variable(s)"),
+    ], ids=["negative", "variable-count"])
+    def test_malformed_interp_exits_2(self, capsys, tmp_path, line, message):
+        # The line overrides mon's entry for the same generator.  Neither
+        # file may pass or end in a traceback: ``-1`` is not ``1``, and
+        # ``mu`` has two variables, not three.
+        interp = tmp_path / "bad.interp"
+        interp.write_text(
+            "interp for Mon\n"
+            "X mu (i, j) = i + j\nd mu (i, j) = i\n"
+            f"X eta () = 1\nd eta () = 0\nbound 4\n{line}\n"
+        )
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_no_interp_available(self, capsys):
         code, _, err = run(capsys, "termination", "--preset", "perm")
         assert code == 2

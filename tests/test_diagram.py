@@ -31,8 +31,9 @@ from conftest import ETA, MU
 from parse_oracle import oracle_parse_diagram
 
 
-def all_diagrams(sig, max_slices, max_input_width):
-    """Every diagram over ``sig`` with at most the given slices and input width."""
+def all_diagrams(sig, max_slices, max_input_width, max_width=None):
+    """Every diagram over ``sig`` with at most the given slices and input
+    width, and if ``max_width`` is given, no wider than it anywhere."""
     gens = sig.all_generators()
     out = []
 
@@ -41,12 +42,11 @@ def all_diagrams(sig, max_slices, max_input_width):
         if len(slices) == max_slices:
             return
         for g in gens:
+            width = cur_width - g.arity + g.coarity
+            if max_width is not None and width > max_width:
+                continue
             for off in range(cur_width - g.arity + 1):
-                go(
-                    input_width,
-                    cur_width - g.arity + g.coarity,
-                    slices + [Slice(off, g)],
-                )
+                go(input_width, width, slices + [Slice(off, g)])
 
     for w in range(max_input_width + 1):
         go(w, w, [])
@@ -230,6 +230,25 @@ class TestExchangeOracle:
         assert diagram_equal(d1, d2)
 
 
+def test_coarity0_idempotence_known_gap():
+    # The one-way ``_swap`` again: the canonical form of ``d`` has a
+    # canonical form of its own, lexicographically smaller and in ``d``'s
+    # closure, so ``canonical_form`` is not idempotent and ``d`` is not
+    # ``diagram_equal`` to its own canonical form.  Once canonical forms
+    # are exact with coarity 0 (ROADMAP item 2), both turn.
+    sig = Signature("MuEtaEps", (MU, ETA, GeneratorSym("eps", 1, 0)))
+    d = parse_diagram("(mu * id 2) ; (id 1 * eta * id 2) ; (eps * id 3)", sig)
+    canon = canonical_form(d)
+    assert print_diagram(canon) == "(mu * id 2) ; (eps * id 2) ; (eta * id 2)"
+    again = canonical_form(canon)
+    assert print_diagram(again) == (
+        "(eta * id 4) ; (id 1 * mu * id 2) ; (id 1 * eps * id 2)")
+    assert again.slices in exchange_closure(d)
+    assert ([(s.offset, s.gen.name) for s in again.slices]
+            < [(s.offset, s.gen.name) for s in canon.slices])
+    assert not diagram_equal(d, canon)
+
+
 class TestIterativeCanonicalForm:
     """``_lex_min`` keeps each remaining slice's upward walk between rounds
     and redoes only the walks an emission can change.  It is checked against
@@ -322,6 +341,22 @@ class TestIterativeCanonicalForm:
             cases.append(Diagram(0, tuple(slices)))
         for d in cases:
             self.assert_matches_branch_loop(d)
+
+    def test_matches_branch_loop_on_all_small_diagrams(self):
+        # Every diagram of one to four slices and width at most 3 over
+        # units, counits, splits, merges and a 0 -> 0 bubble, so a front
+        # passes slices of every kind: each walk ``_Branch.emit`` keeps
+        # must stop where the branch loop's walk stops.
+        sig = Signature("Small", (MU, ETA, GeneratorSym("delta", 1, 2),
+                                  GeneratorSym("eps", 1, 0),
+                                  GeneratorSym("bubble", 0, 0)))
+        ds = [d for d in all_diagrams(sig, 4, 3, max_width=3) if d.slices]
+        assert len(ds) == 22_213
+        for d in ds:
+            canon, ids = canonical_form_with_ids.__wrapped__(d)
+            expected = self.branch_loop_lex_min(
+                [(s, i) for i, s in enumerate(d.slices)])
+            assert list(zip(canon.slices, ids)) == expected, d
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_comb_walks_are_linear(self, side, monkeypatch):

@@ -152,7 +152,9 @@ class TestFormat:
 
 #: Expressions over ``(i, j, k)`` and what the recursive-descent parser this
 #: loop replaced returned for them: a tree, or its ``TerminationError``
-#: message.  ``Add`` nests to the left; other characters form no token.
+#: message.  ``Add`` nests to the left.  A character outside the grammar is
+#: an error before any token is parsed; that parser skipped it, so those
+#: cases expect the lexical error instead of its result.
 I, J, K = Var(0), Var(1), Var(2)
 EXPR_CASES = [
     ("i + j + k", Add(Add(I, J), K)),
@@ -161,8 +163,13 @@ EXPR_CASES = [
      Add(Max(Add(I, Const(1)), Max(J, K)), Const(2))),
     ("((i))", I),
     ("\u0661\u0662 + i", Add(Const(12), I)),
-    ("i * j", "trailing token 'j' in expression"),
-    (" - ", "unexpected end of expression"),
+    ("i * j", "unexpected character '*' in expression"),
+    (" - ", "unexpected character '-' in expression"),
+    ("i + -j", "unexpected character '-' in expression"),
+    ("-1", "unexpected character '-' in expression"),
+    ("max(i, -j)", "unexpected character '-' in expression"),
+    ("i + j;", "unexpected character ';' in expression"),
+    ("i $", "unexpected character '$' in expression"),
     ("i +", "unexpected end of expression"),
     ("(i, j)", "expected ')', found ','"),
     ("max i", "expected '(', found 'i'"),
@@ -174,12 +181,12 @@ EXPR_CASES = [
 ]
 
 #: ``X`` bodies: top-level commas separate the components, blank ones are
-#: dropped, and a component of stray characters is an error.
+#: dropped, and a character outside the grammar is an error.
 X_BODY_CASES = [
     ("max(i, j), k", (Max(I, J), K)),
     ("i, , j,", (I, J)),
     ("", ()),
-    ("i, -", "unexpected end of expression"),
+    ("i, -", "unexpected character '-' in expression"),
     ("i +, j", "unexpected end of expression"),
     ("max, i", "unexpected end of expression"),
     ("i), (j, k", "trailing token ')' in expression"),
