@@ -42,7 +42,6 @@ from .rewrite import (
     Trace,
     compose_traces,
     normalize,
-    parallel,
     validate_trace,
 )
 from .termination import Interpretation, mon_interpretation
@@ -309,19 +308,23 @@ def _braid_of_redex(s: Step, source: Diagram) -> BraidWord:
     return block_crossing(p, first, second, sign, n)
 
 
-def braid_of_trace(t: Trace, p: Polygraph | None = None) -> BraidWord:
+def braid_of_trace(t: Trace, p: Polygraph | None = None,
+                   chain: list[Diagram] | None = None) -> BraidWord:
     """The concatenated braid of a trace, in step order.
 
-    ``p`` supplies the congruence for validating the boundary chain; it
-    defaults to the ``br`` preset's polygraph.
+    ``chain`` is what ``validate_trace`` returned for ``t``, when the caller
+    has already checked it.  Otherwise the boundary chain is checked here
+    under the congruence of ``p``, which defaults to the ``br`` preset's
+    polygraph.
     """
-    if p is None:
-        p = get_preset("br").polygraph
-    sources = validate_trace(t, congruence_equiv(p))
+    if chain is None:
+        if p is None:
+            p = get_preset("br").polygraph
+        chain = validate_trace(t, congruence_equiv(p))
     # One word from every step's letters: every step's source has the
     # trace's input width, so its word has the same strands.
     letters = []
-    for s, source in zip(t.steps, sources):
+    for s, source in zip(t.steps, chain):
         letters += _braid_of_redex(s, source).letters
     return BraidWord(t.source.input_width, letters)
 
@@ -349,23 +352,23 @@ def decide_coherence(preset: Preset, t1: Trace, t2: Trace) -> Decision:
     """
     p = preset.polygraph
     equiv = congruence_equiv(p)
-    if preset.decision_mode == "aspherical":
-        validate_trace(t1, equiv)
-        validate_trace(t2, equiv)
-    else:
-        # braid_of_trace validates each trace as it walks it.
-        b1 = braid_of_trace(t1, p)
-        b2 = braid_of_trace(t2, p)
+    braided = preset.decision_mode != "aspherical"
+    # Each chain ends with its trace's target, so no target is plugged again.
+    chain1 = validate_trace(t1, equiv)
+    b1 = braid_of_trace(t1, p, chain1) if braided else None
+    chain2 = validate_trace(t2, equiv)
+    b2 = braid_of_trace(t2, p, chain2) if braided else None
+    target1, target2 = chain1[-1], chain2[-1]
     evidence = {
         "preset": preset.name,
         "source1": print_diagram(t1.source),
         "source2": print_diagram(t2.source),
-        "target1": print_diagram(t1.target()),
-        "target2": print_diagram(t2.target()),
+        "target1": print_diagram(target1),
+        "target2": print_diagram(target2),
     }
-    if not parallel(t1, t2, equiv):
+    if not (equiv(t1.source, t2.source) and equiv(target1, target2)):
         return Decision("NotParallel", evidence)
-    if preset.decision_mode == "aspherical":
+    if not braided:
         return Decision("Equal", evidence)
     nf1, nf2 = garside_nf(b1), garside_nf(b2)
     evidence.update(

@@ -316,9 +316,10 @@ class Trace:
 
 def validate_trace(t: Trace, equiv=diagram_equal) -> list[Diagram]:
     """Check the boundary chain of ``t`` under the 2-cell congruence
-    ``equiv``; return each step's source, so callers need not plug it."""
+    ``equiv``; return each step's source followed by the trace's target, so
+    callers need not plug them again."""
     current = t.source
-    sources = []
+    chain = []
     for i, s in enumerate(t.steps):
         source = s.source()
         if not equiv(source, current):
@@ -327,9 +328,10 @@ def validate_trace(t: Trace, equiv=diagram_equal) -> list[Diagram]:
                 f"'{print_diagram(source)}' but the current 2-cell is "
                 f"'{print_diagram(current)}'"
             )
-        sources.append(source)
+        chain.append(source)
         current = s.target()
-    return sources
+    chain.append(current)
+    return chain
 
 
 def compose_traces(t1: Trace, t2: Trace, equiv=diagram_equal) -> Trace:

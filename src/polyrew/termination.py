@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagram import Diagram, Signature
 from .rewrite import Polygraph
@@ -240,6 +240,9 @@ class Interpretation:
     x_entries: dict  # name -> tuple[MonotoneExpr, ...], length = coarity
     d_entries: dict  # name -> MonotoneExpr
     grid_bound: int = 4
+    #: ("X" or "d", name) -> length of the entry's declared variable list,
+    #: for entries read from text
+    declared: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.grid_bound < 2:
@@ -273,6 +276,12 @@ class Interpretation:
             except IndexError:
                 raise TerminationError(f"an entry for {g.name} reads more "
                                        f"than {g.arity} variable(s)") from None
+            count = max(self.declared.get((kind, g.name), 0) for kind in "Xd")
+            if count > g.arity:
+                raise TerminationError(
+                    f"an entry for {g.name} declares {count} variables, more "
+                    f"than its arity {g.arity}"
+                )
 
 
 def _walk(d: Diagram, inputs: list[int],
@@ -380,11 +389,14 @@ def parse_interpretation(text: str) -> tuple[str, Interpretation]:
     """Parse the interpretation format; returns (polygraph name, interp).
 
     Lines: ``interp for <name>``; ``X <gen> (<vars>) = <expr>[, <expr>…]``;
-    ``d <gen> (<vars>) = <expr>``; ``bound <B>``; ``#`` comments.
+    ``d <gen> (<vars>) = <expr>``; ``bound <B>``; ``#`` comments.  A
+    variable list names each variable once; ``check_covers`` rejects a list
+    longer than its generator's arity.
     """
     name = ""
     x_entries: dict[str, tuple[MonotoneExpr, ...]] = {}
     d_entries: dict[str, MonotoneExpr] = {}
+    declared: dict[tuple[str, str], int] = {}
     bound = 4
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -402,13 +414,22 @@ def parse_interpretation(text: str) -> tuple[str, Interpretation]:
         if m:
             kind, gen, vars_text, body = m.groups()
             variables = tuple(v.strip() for v in vars_text.split(",") if v.strip())
+            seen: set[str] = set()
+            for v in variables:
+                if v in seen:
+                    raise TerminationError(
+                        f"variable {v!r} repeated in the {kind} entry for "
+                        f"{gen} on interpretation line {lineno}"
+                    )
+                seen.add(v)
+            declared[(kind, gen)] = len(variables)
             if kind == "X":
                 x_entries[gen] = tuple(_parse_sums(body, variables, True))
             else:
                 d_entries[gen] = parse_expr(body, variables)
             continue
         raise TerminationError(f"cannot parse interpretation line {lineno}: {raw!r}")
-    return name, Interpretation(x_entries, d_entries, bound)
+    return name, Interpretation(x_entries, d_entries, bound, declared)
 
 
 #: The interpretation that proves Mon₃ terminates: X(μ)(i,j)=i+j, X(η)=1,

@@ -1,14 +1,19 @@
-"""Dehornoy handle reduction: an independent braid word-problem solver.
+"""Oracles for the braid engine.
 
 The library decides braid equality through the Garside normal form
-(``polyrew.braid.garside_nf``).  This second solver shares no code with it,
-so the tests use it as an oracle: a word is trivial exactly when handle
-reduction empties it.
+(``polyrew.braid.garside_nf``).  Two oracles here share no code with it:
+
+* Dehornoy handle reduction, a second word-problem solver: a word is trivial
+  exactly when handle reduction empties it.
+* ``uncached_garside_nf``, the earlier single-pass normal form that
+  re-weights every pair it meets from scratch, with its own copies of the
+  permutation helpers, so that a change to the module's helpers or to its
+  pair cache cannot move the oracle with it.
 """
 
 from __future__ import annotations
 
-from polyrew.braid import BraidError, BraidWord, Letter
+from polyrew.braid import BraidError, BraidWord, GarsideNormalForm, Letter
 
 
 def _free_reduce(letters: tuple[Letter, ...]) -> list[Letter]:
@@ -61,3 +66,95 @@ def _first_handle(letters: list[Letter]) -> tuple[int, int] | None:
                 return p, q
         last_seen[i] = q
     return None
+
+
+# -- the single-pass normal form without the pair cache ---------------------
+
+
+def _compose(p, q):
+    """Apply ``p`` first, then ``q``."""
+    return tuple(q[x] for x in p)
+
+
+def _invert(p):
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[y] = x
+    return tuple(out)
+
+
+def _transposition(n, i):
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def _conjugate(f):
+    """``Δ f Δ⁻¹``: strand positions mirrored."""
+    n = len(f)
+    return tuple(n - 1 - y for y in reversed(f))
+
+
+def _reweight(a, b):
+    """The left-weighted pair with product ``a·b``, or None if ``(a, b)``
+    already is one: move each ``σ_i`` that starts ``b`` but does not finish
+    ``a`` from ``b`` to ``a``."""
+    n = len(a)
+    a_inv = list(_invert(a))
+    b_list = list(b)
+    moved = False
+    i = 1
+    while i < n:
+        if b_list[i - 1] > b_list[i] and a_inv[i - 1] < a_inv[i]:
+            b_list[i - 1], b_list[i] = b_list[i], b_list[i - 1]
+            a_inv[i - 1], a_inv[i] = a_inv[i], a_inv[i - 1]
+            moved = True
+            i = max(1, i - 1)
+        else:
+            i += 1
+    if not moved:
+        return None
+    return _invert(a_inv), tuple(b_list)
+
+
+def uncached_garside_nf(w: BraidWord) -> GarsideNormalForm:
+    """One left-to-right pass that builds each letter's factor and re-weights
+    each pair as it meets it.
+
+    A negative letter flips a Δ-parity flag instead of conjugating the
+    factors collected so far; new factors are stored in the frame the flag
+    names and the list is conjugated once at the end if the parity is odd.
+    Each appended factor is re-weighted with its left neighbour, walking left
+    while a pair changes.
+    """
+    n = w.n
+    w0 = tuple(range(n - 1, -1, -1))
+    ident = tuple(range(n))
+    negative = 0
+    factors = []
+    for i, sign in w.letters:
+        if sign > 0:
+            f = _transposition(n, i)
+        else:
+            negative += 1
+            f = _compose(w0, _transposition(n, i))
+        if negative % 2:
+            f = _conjugate(f)
+        if f == ident:
+            continue
+        factors.append(f)
+        k = len(factors) - 1
+        while k > 0:
+            pair = _reweight(factors[k - 1], factors[k])
+            if pair is None:
+                break
+            factors[k - 1], factors[k] = pair
+            if pair[1] == ident:
+                del factors[k]
+            k -= 1
+    if negative % 2:
+        factors = [_conjugate(f) for f in factors]
+    lead = 0
+    while lead < len(factors) and factors[lead] == w0:
+        lead += 1
+    return GarsideNormalForm(n, lead - negative, tuple(factors[lead:]))

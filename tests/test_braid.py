@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from polyrew import braid
 from polyrew.braid import (
     BraidError,
     BraidWord,
@@ -19,7 +20,7 @@ from polyrew.braid import (
     sigma,
 )
 
-from braid_oracle import handle_reduce
+from braid_oracle import handle_reduce, uncached_garside_nf
 
 
 def word(n, *letters):
@@ -163,6 +164,50 @@ class TestHandleReduction:
             assert garside == dehornoy
 
 
+class TestPairCache:
+    """``garside_nf`` reads each pair's left-weighting from a cache that
+    outlives the call; what it returns must not depend on what is cached."""
+
+    def test_cold_and_warm_cache_agree(self):
+        rng = random.Random(1717)
+        words = [random_word(rng, n=rng.randint(2, 7), max_len=40)
+                 for _ in range(200)]
+        cold = []
+        for w in words:
+            braid._left_weight.cache_clear()
+            cold.append(garside_nf(w))
+            assert garside_nf(w) == cold[-1], str(w)
+        # Warm from every other word too, in a different order.
+        for w, nf in reversed(list(zip(words, cold))):
+            assert garside_nf(w) == nf, str(w)
+        assert braid._left_weight.cache_info().hits > 0
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_many_strands_agree_with_handle_reduction(self, n):
+        # Half the pairs are equal by construction (a cancelling pair and a
+        # far commutation inserted), half differ in one letter's sign.
+        rng = random.Random(n)
+        braid._left_weight.cache_clear()
+        for k in range(150):
+            w1 = random_word(rng, n=n, max_len=24)
+            letters = list(w1.letters)
+            i = rng.randint(1, n - 1)
+            s = rng.choice((1, -1))
+            j = rng.choice([x for x in range(1, n) if abs(x - i) >= 2])
+            p = rng.randint(0, len(letters))
+            letters[p:p] = [(i, s), (j, 1), (i, -s), (j, -1)]
+            if k % 2:
+                q = rng.randrange(len(letters))
+                letters[q] = (letters[q][0], -letters[q][1])
+            w2 = BraidWord(n, tuple(letters))
+            dehornoy = (
+                handle_reduce(braid_concat(w1, braid_inverse(w2))).letters == ()
+            )
+            assert braid_equal(w1, w2) == dehornoy == (k % 2 == 0), str(w1)
+            assert garside_nf(w2) == uncached_garside_nf(w2), str(w2)
+            assert is_trivial(braid_concat(w2, braid_inverse(w2)))
+
+
 class TestBlockCrossing:
     def test_single(self):
         assert block_crossing(0, 1, 1, 1, 2) == sigma(2, 1)
@@ -257,34 +302,46 @@ def _sweep_garside_nf(w):
 
 
 def _sweep_left_weight(n, factors):
+    """Left-weight adjacent pairs to a fixpoint.
+
+    The leftmost pair waiting is checked next, and a pair waits again only
+    when a neighbour changed; this reaches the same fixpoint as sweeping
+    every pair until none changes.  A factor emptied to the identity is
+    dropped at once, and its neighbours become a pair.
+    """
     ident = tuple(range(n))
     factors = [f for f in factors if f != ident]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(factors) - 1):
-            a, b = factors[k], factors[k + 1]
-            moved = False
-            while True:
-                pending = _descents(b) - _descents(_invert(a))
-                if not pending:
-                    break
-                i = min(pending)
-                s = _transposition(n, i)
-                a = _compose(a, s)
-                b = _compose(s, b)
-                moved = True
-            if moved:
-                factors[k], factors[k + 1] = a, b
-                changed = True
-        if changed:
-            factors = [f for f in factors if f != ident]
+    pending = set(range(len(factors) - 1))
+    while pending:
+        k = min(pending)
+        pending.discard(k)
+        a, b = factors[k], factors[k + 1]
+        moved = False
+        while True:
+            descents = _descents(b) - _descents(_invert(a))
+            if not descents:
+                break
+            i = min(descents)
+            s = _transposition(n, i)
+            a = _compose(a, s)
+            b = _compose(s, b)
+            moved = True
+        if not moved:
+            continue
+        factors[k], factors[k + 1] = a, b
+        if b == ident:
+            del factors[k + 1]
+            pending = {j - 1 if j > k else j for j in pending if j != k + 1}
+            near = (k - 1, k)
+        else:
+            near = (k - 1, k + 1)
+        pending.update(j for j in near if 0 <= j < len(factors) - 1)
     return factors
 
 
 class TestIncrementalGarsideOracle:
-    """The single-pass ``garside_nf`` returns exactly the normal form of the
-    sweep-based one it replaced."""
+    """``garside_nf`` returns exactly the normal form of the sweep-based
+    engine and of the uncached single-pass one."""
 
     def test_matches_sweep_on_random_words(self):
         # One word in four is all-negative and one all-positive; the rest
@@ -300,7 +357,9 @@ class TestIncrementalGarsideOracle:
             )
             w = BraidWord(n, letters)
             seen_n.add(n)
-            assert garside_nf(w) == _sweep_garside_nf(w), str(w)
+            nf = garside_nf(w)
+            assert nf == _sweep_garside_nf(w), str(w)
+            assert nf == uncached_garside_nf(w), str(w)
         assert seen_n == set(range(1, 8))
 
     def test_two_strands(self):
@@ -311,5 +370,5 @@ class TestIncrementalGarsideOracle:
             w = random_word(rng, n=2, max_len=40)
             expected = sum(sign for _, sign in w.letters)
             nf = garside_nf(w)
-            assert nf == _sweep_garside_nf(w)
+            assert nf == _sweep_garside_nf(w) == uncached_garside_nf(w)
             assert (nf.delta_power, nf.factors) == (expected, ())

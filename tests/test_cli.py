@@ -208,11 +208,16 @@ class TestTermination:
     @pytest.mark.parametrize("line, message", [
         ("X eta () = -1", "unexpected character '-' in expression"),
         ("X mu (i, j, k) = k", "an entry for mu reads more than 2 variable(s)"),
-    ], ids=["negative", "variable-count"])
+        ("X mu (i, i) = i + i",
+         "variable 'i' repeated in the X entry for mu on interpretation line 7"),
+        ("d mu (i, j, k) = i",
+         "an entry for mu declares 3 variables, more than its arity 2"),
+    ], ids=["negative", "variable-count", "repeated-variable", "long-variable-list"])
     def test_malformed_interp_exits_2(self, capsys, tmp_path, line, message):
-        # The line overrides mon's entry for the same generator.  Neither
-        # file may pass or end in a traceback: ``-1`` is not ``1``, and
-        # ``mu`` has two variables, not three.
+        # The line overrides mon's entry for the same generator.  No file
+        # may pass or end in a traceback: ``-1`` is not ``1``, ``mu`` has
+        # two variables, not three, and ``(i, i)`` does not say which input
+        # ``i`` reads.
         interp = tmp_path / "bad.interp"
         interp.write_text(
             "interp for Mon\n"

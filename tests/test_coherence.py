@@ -396,6 +396,33 @@ class TestDecide:
                 == decide_coherence(preset, b, a).outcome
             )
 
+    @pytest.mark.parametrize("name", ["br", "sym"])
+    def test_plugs_each_boundary_once(self, monkeypatch, name):
+        # Validation plugs each step's source and target once; the decision
+        # reads both targets from the checked chains instead of plugging the
+        # last step again for the evidence and the parallelism check.
+        # Plugs made by the structural normal form are not counted: its
+        # cache decides whether it runs at all.
+        preset = get_preset(name)
+        leg1, leg2 = daleth1_legs()
+        contexts = [s.context for s in leg1.steps + leg2.steps]
+        plug, calls = Context.plug, []
+
+        def counting_plug(self, pattern):
+            if any(self is c for c in contexts):
+                calls.append(pattern)
+            return plug(self, pattern)
+
+        monkeypatch.setattr(Context, "plug", counting_plug)
+        d = decide_coherence(preset, leg1, leg2)
+        assert len(calls) == 2 * len(contexts)
+        monkeypatch.undo()
+        assert d.evidence["target1"] == print_diagram(leg1.target())
+        assert d.evidence["target2"] == print_diagram(leg2.target())
+        chain = validate_trace(leg1, congruence_equiv(preset.polygraph))
+        assert len(chain) == len(leg1.steps) + 1
+        assert chain[-1] == leg1.target()
+
     def test_aspherical_never_not_equal(self):
         sym = get_preset("sym")
         t1, t2 = beta_vs_whiskered_inverse()

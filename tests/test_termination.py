@@ -10,6 +10,7 @@ from polyrew.termination import (
     Add,
     Const,
     Interpretation,
+    MON_INTERP_TEXT,
     Max,
     TerminationError,
     Var,
@@ -148,6 +149,29 @@ class TestFormat:
     def test_bad_line(self):
         with pytest.raises(TerminationError, match="line 1"):
             parse_interpretation("what is this")
+
+    def test_repeated_variable(self):
+        # Both ``i`` would read the first input: the entry would mean 2·x1.
+        with pytest.raises(TerminationError,
+                           match="variable 'i' repeated in the X entry for mu "
+                                 "on interpretation line 2"):
+            parse_interpretation("interp for Mon\nX mu (i, i) = i + i\n")
+        with pytest.raises(TerminationError, match="'j' repeated in the d entry"):
+            parse_interpretation("d g (j, k, j) = k\n")
+
+    def test_variable_list_longer_than_arity(self, mon_polygraph):
+        text = MON_INTERP_TEXT + "d mu (i, j, k) = i\n"
+        _, interp = parse_interpretation(text)
+        with pytest.raises(TerminationError,
+                           match="an entry for mu declares 3 variables, more "
+                                 "than its arity 2"):
+            check_decrease(mon_polygraph, interp)
+        # A later entry for the same generator replaces the long one.
+        _, interp = parse_interpretation(text + "d mu (i, j) = i\n")
+        assert check_decrease(mon_polygraph, interp).passed
+        # A shorter list leaves the trailing inputs unread.
+        _, interp = parse_interpretation(MON_INTERP_TEXT + "d mu (i) = i\n")
+        assert check_decrease(mon_polygraph, interp).passed
 
 
 #: Expressions over ``(i, j, k)`` and what the recursive-descent parser this
