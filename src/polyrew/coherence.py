@@ -44,7 +44,7 @@ from .rewrite import (
     normalize,
     validate_trace,
 )
-from .termination import Interpretation, mon_interpretation
+from .termination import Interpretation, as_interpretation, mon_interpretation
 
 
 class CoherenceError(Exception):
@@ -114,7 +114,7 @@ def _build_preset(name: str) -> Preset:
             sig,
             (Rule("alpha", q("(mu * id 1) ; mu"), q("(id 1 * mu) ; mu")),),
         )
-        return Preset("as", p, "aspherical", interp=mon_interpretation())
+        return Preset("as", p, "aspherical", interp=as_interpretation())
     if name == "mon":
         p = _mon_polygraph()
         return Preset("mon", p, "aspherical", interp=mon_interpretation())

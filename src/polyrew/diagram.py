@@ -8,22 +8,22 @@ string diagram.
 
 Two slice lists represent the same 2-cell precisely when they are related by
 the exchange relations: adjacent slices with disjoint supports may be swapped.
-``canonical_form`` picks a unique representative of each exchange class: the
-left-greedy (lexicographically least) slice sequence, computed in one loop
-that emits the least slice any branch of the search can exchange to its
-front and keeps every branch that can.  Each remaining slice's upward walk
-is kept between rounds and an emission redoes only the walks it can change,
-so a comb of n slices costs n - 1 exchange tests.  ``diagram_equal``
-compares canonical forms.  This is exact only when no generator has
-coarity 0: with one, the single-swap relation is not symmetric, and equal
-2-cells can get different canonical forms.  Over ``eta : 0 -> 1``,
-``delta : 1 -> 2`` and ``eps : 1 -> 0``, the closure of
-``eta ; delta ; (eta * id 2) ; (eps * id 2)`` holds
-``eta ; eps ; eta ; delta``, whose own closure does not hold the first, and
-``diagram_equal`` calls the two different.
-``exchange_closure`` computes the full class by brute force; it serves as the
-correctness oracle for the canonical form and as the completeness backbone of
-pattern matching.
+One exchange state, ``_Branch``, serves every walk of a class: it keeps each
+unemitted slice's upward walk between emissions, and an emission redoes only
+the walks it can change.  ``canonical_form`` picks a unique representative of
+each class, the left-greedy (lexicographically least) slice sequence, in one
+loop that emits the least front and keeps every branch that ties, so a comb
+of n slices costs n - 1 exchange tests; ``_cuts`` and ``_blocks``, the cut
+walks of critical-branching enumeration, search breadth-first over the same
+states.  ``diagram_equal`` compares canonical forms.  This is exact only when
+no generator has coarity 0: with one, the single-swap relation is not
+symmetric, and equal 2-cells can get different canonical forms.  Over
+``eta : 0 -> 1``, ``delta : 1 -> 2`` and ``eps : 1 -> 0``, the closure of
+``eta ; delta ; (eta * id 2) ; (eps * id 2)`` holds ``eta ; eps ; eta ;
+delta``, whose own closure does not hold the first, and ``diagram_equal``
+calls the two different.  ``exchange_closure`` computes the full class by
+brute force; it serves as the correctness oracle for the canonical form and
+as the completeness backbone of pattern matching.
 
 Conventions: offsets are 0-based internally, wires are numbered from the left,
 and ``;`` in the textual grammar is vertical composition read top to bottom.
@@ -236,57 +236,6 @@ def _swap(a: Slice, b: Slice) -> tuple[Slice, Slice]:
     return Slice(b.offset - a.gen.coarity + a.gen.arity, b.gen), a
 
 
-def _fronts(
-    entries: list[tuple[Slice, int]],
-) -> Iterator[tuple[Slice, int, list[tuple[Slice, int]]]]:
-    """Every slice that can be exchanged to the front of ``entries``, in order.
-
-    Yields triples ``(front_slice, original_index, remaining_entries)`` where
-    the remaining entries are given in their adjusted coordinates.  Slice
-    ``j`` walks upward while it commutes with the slice above it; the
-    remainder is built only when the walk reaches the top.
-    """
-    for j, (cur, cur_id) in enumerate(entries):
-        moved: list[tuple[Slice, int]] = []
-        for k in range(j - 1, -1, -1):
-            a, a_id = entries[k]
-            if not _commute(a, cur):
-                break
-            cur, a2 = _swap(a, cur)
-            moved.append((a2, a_id))
-        else:
-            yield cur, cur_id, moved[::-1] + entries[j + 1:]
-
-
-def _cuts(d: Diagram) -> Iterator[tuple[list, list]]:
-    """One split ``(top, rest)`` of ``d``'s ``(slice, index)`` entries per
-    set of slices some exchange representative puts above a cut, by size;
-    each cut grows one above it by a front of its ``rest``."""
-    level = [([], [(s, i) for i, s in enumerate(d.slices)])]
-    while level:
-        yield from level
-        grown = {}
-        for top, rest in level:
-            for f, f_id, tail in _fronts(rest):
-                key = frozenset([i for _, i in top] + [f_id])
-                if key not in grown:
-                    grown[key] = (top + [(f, f_id)], tail)
-        level = list(grown.values())
-
-
-def _blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
-    """One split ``(above, block, below)`` of an exchange representative of
-    ``d`` per pair of slice sets with a nonempty block: each cut of ``d``,
-    then each cut of its rest, built at the cut's width."""
-    for top, rest in _cuts(d):
-        above = tuple(s for s, _ in top)
-        w = d.input_width + sum(s.gen.coarity - s.gen.arity for s in above)
-        for block, below in _cuts(Diagram(w, tuple(s for s, _ in rest))):
-            if block:
-                yield (above, tuple(s for s, _ in block),
-                       tuple(s for s, _ in below))
-
-
 def _reaches_end(above, s: Slice, below) -> bool:
     """Whether slice ``s`` between ``above`` and ``below``, walked alone,
     exchanges up through every slice above or down through every one below."""
@@ -312,17 +261,18 @@ def _ends(d: Diagram) -> set[int]:
 
 
 class _Branch:
-    """One branch of ``_lex_min``'s search, with its walks kept between rounds.
+    """One exchange state: some slices emitted, each remaining slice's upward
+    walk kept between emissions.
 
     ``emitted`` is the emitted ``(rest, slice, position)`` chain, newest
     first; ``slices`` holds the current slice at each input position;
     ``remaining`` lists the positions not yet emitted, in input order (the
     remainder is always a subsequence of it).  Each remaining position's
     upward walk either stops under a blocker, and is listed in
-    ``blocked[blocker]``, or reaches the top and is in ``fronts``.  ``tied``
-    holds the fronts with the least ``(offset, name)``, ``best``, each as
-    ``(position, top slice, moved)``: ``moved`` holds the slices it passed,
-    nearest first, as the swaps leave them.
+    ``blocked[blocker]``, or reaches the top: ``fronts`` maps those, in
+    input order, to ``(top slice, moved)``, where ``moved`` holds the
+    slices it passed, nearest first, as the swaps leave them.  ``tied``
+    lists the fronts with the least ``(offset, name)``, ``best``.
     """
 
     __slots__ = ("emitted", "slices", "remaining", "blocked",
@@ -332,19 +282,37 @@ class _Branch:
         self.emitted, self.slices = emitted, slices
         self.remaining, self.blocked = remaining, blocked
 
+    @classmethod
+    def start(cls, slices) -> "_Branch":
+        """The state of ``slices`` with nothing emitted, walked."""
+        n = len(slices)
+        b = cls(None, list(slices), list(range(n)), {})
+        b.walk(range(n))
+        return b
+
     def split(self) -> "_Branch":
-        """A copy that can emit another of the tied fronts."""
+        """A copy that can emit another front."""
         c = _Branch(self.emitted, self.slices[:], self.remaining[:],
                     {a: xs[:] for a, xs in self.blocked.items()})
         c.fronts = self.fronts
         return c
+
+    def cut(self) -> tuple[list, list]:
+        """The emitted ``(slice, position)`` entries, in emission order, and
+        the remaining ones, in input order."""
+        top, emitted = [], self.emitted
+        while emitted:
+            emitted, s, x = emitted
+            top.append((s, x))
+        top.reverse()
+        return top, [(self.slices[x], x) for x in self.remaining]
 
     def walk(self, todo) -> None:
         """Walk each position of ``todo`` (ascending) up through the
         remaining slices above it.  The fronts found replace ``fronts``,
         ``best`` and ``tied``: every front is in ``todo``."""
         sl, pos, blocked = self.slices, self.remaining, self.blocked
-        fronts, tied, best = [], [], None
+        fronts, tied, best = {}, [], None
         j = 0
         for x in todo:
             cur, moved = sl[x], []
@@ -357,22 +325,22 @@ class _Branch:
                 cur, a2 = _swap(sl[a], cur)
                 moved.append(a2)
             else:
-                fronts.append(x)
+                fronts[x] = cur, moved
                 key = cur.offset, cur.gen.name
                 if not tied or key < best:
-                    best, tied = key, [(x, cur, moved)]
+                    best, tied = key, [x]
                 elif key == best:
-                    tied.append((x, cur, moved))
+                    tied.append(x)
         self.fronts, self.best, self.tied = fronts, best, tied
 
-    def emit(self, front) -> None:
-        """Exchange ``front`` to the top and emit it; walk again the other
+    def emit(self, x) -> None:
+        """Exchange front ``x`` to the top and emit it; walk again the other
         fronts and the positions blocked by it.  Every other walk stands: one
-        stopped below ``front`` passes only slices the emission left alone,
-        and one stopped at a slice ``front`` passed stops there still, since
+        stopped below ``x`` passes only slices the emission left alone, and
+        one stopped at a slice ``x`` passed stops there still, since
         exchanging a commuting slice upward leaves unchanged which slices
         above it commute with the walks below it."""
-        x, cur, moved = front
+        cur, moved = self.fronts[x]
         sl, pos = self.slices, self.remaining
         i = bisect_left(pos, x)
         for k, a2 in enumerate(moved, 1):
@@ -386,29 +354,64 @@ class _Branch:
         self.walk(todo)
 
 
-def _lex_min(entries: list[tuple[Slice, int]]) -> list[tuple[Slice, int]]:
-    """The lexicographically least representative of the exchange class.
+def _states(start: "_Branch") -> Iterator["_Branch"]:
+    """``start`` and every state its fronts lead to, by number emitted: a
+    breadth-first search in which states with the same emitted set are
+    merged, keeping the first reached.  ``start`` is not changed."""
+    level = [start]
+    while level:
+        yield from level
+        grown = {}
+        for b in level:
+            remaining = frozenset(b.remaining)
+            for x in b.fronts:
+                key = remaining - {x}
+                if key not in grown:
+                    grown[key] = c = b.split()
+                    c.emit(x)
+        level = list(grown.values())
+
+
+def _cuts(d: Diagram) -> Iterator[tuple[list, list]]:
+    """One split ``(top, rest)`` of ``d``'s ``(slice, index)`` entries per
+    set of slices some exchange representative puts above a cut, by size;
+    each cut grows one above it by a front of its ``rest``."""
+    return (b.cut() for b in _states(_Branch.start(d.slices)))
+
+
+def _blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
+    """One split ``(above, block, below)`` of an exchange representative of
+    ``d`` per pair of slice sets with a nonempty block: each cut of ``d``,
+    then each cut of its rest, searched on from the cut's state."""
+    for b in _states(_Branch.start(d.slices)):
+        top, _ = b.cut()
+        above = tuple(s for s, _ in top)
+        for c in _states(b):
+            block, below = c.cut()
+            if len(block) > len(top):
+                yield (above, tuple(s for s, _ in block[len(top):]),
+                       tuple(s for s, _ in below))
+
+
+def _lex_min(slices) -> list[tuple[Slice, int]]:
+    """The lexicographically least representative of the exchange class of
+    ``slices``, as ``(slice, input position)`` entries.
 
     One loop over ordered branches.  Each round keeps every front with the
     least ``(offset, name)``, in branch order then slice order, which is the
     order a depth-first search tries them; so the first branch left at the
-    end carries the indices that search would pick among its least tails.
+    end carries the positions that search would pick among its least tails.
 
-    Each remaining slice's upward walk is kept between rounds (see
-    ``_Branch``).  Emitting a front swaps the slices above it and removes
-    it; only the other fronts and the walks that stopped at it are redone,
-    with the same ``_commute`` and ``_swap`` calls (``_Branch.emit`` says
-    why every other walk stands).  So the forms and ids are those of the
-    loop that walks every remaining slice each round, for arity-0 and
-    coarity-0 generators too, and a comb of n slices makes n - 1
-    ``_commute`` calls instead of n(n - 1)/2.  A branch is copied only when
-    it splits on a tie.
+    An emission redoes only the walks it can change (``_Branch.emit`` says
+    why every other walk stands), with the same ``_commute`` and ``_swap``
+    calls.  So the forms and ids are those of the loop that walks every
+    remaining slice each round, for arity-0 and coarity-0 generators too,
+    and a comb of n slices makes n - 1 ``_commute`` calls instead of
+    n(n - 1)/2.  A branch is copied only when it splits on a tie.
     """
-    n = len(entries)
-    branch = _Branch(None, [s for s, _ in entries], list(range(n)), {})
-    branch.walk(range(n))
+    branch = _Branch.start(slices)
     branches = [branch]
-    for _ in range(n):
+    for _ in range(len(slices)):
         # The common round: one branch with one least front.
         if len(branches) == 1 and len(branch.tied) == 1:
             branch.emit(branch.tied[0])
@@ -425,11 +428,7 @@ def _lex_min(entries: list[tuple[Slice, int]]) -> list[tuple[Slice, int]]:
                 grown.append(b)
         branches = grown
         branch = branches[0]
-    out, emitted = [], branch.emitted
-    while emitted:
-        emitted, s, x = emitted
-        out.append((s, entries[x][1]))
-    return out[::-1]
+    return branch.cut()[0]
 
 
 @lru_cache(maxsize=1 << 17)
@@ -440,7 +439,7 @@ def canonical_form_with_ids(d: Diagram) -> tuple[Diagram, tuple[int, ...]]:
     the generator occurrence that ends up as slice ``k`` of the canonical
     form.
     """
-    entries = _lex_min([(s, i) for i, s in enumerate(d.slices)])
+    entries = _lex_min(d.slices)
     canon = Diagram(d.input_width, tuple(s for s, _ in entries))
     return canon, tuple(i for _, i in entries)
 

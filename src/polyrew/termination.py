@@ -263,6 +263,10 @@ class Interpretation:
         raise TerminationError(f"no d entry for generator {name!r}")
 
     def check_covers(self, sig: Signature) -> None:
+        for name in (*self.x_entries, *self.d_entries):
+            if not sig.has(name):
+                raise TerminationError(
+                    f"an entry for {name} names no generator of {sig.name}")
         for g in sig.all_generators():
             xs = self.x_of(g.name)
             if len(xs) != g.coarity:
@@ -358,10 +362,23 @@ class CertificateReport:
         }
 
 
+#: The most grid points ``check_decrease`` walks for one rule.
+MAX_GRID_POINTS = 100_000
+
+
 def check_decrease(p: Polygraph, interp: Interpretation) -> CertificateReport:
-    """Check ``X(lhs) ≥ X(rhs)`` and ``∂(lhs) > ∂(rhs)`` on ``{1..B}^m``."""
+    """Check ``X(lhs) ≥ X(rhs)`` and ``∂(lhs) > ∂(rhs)`` on ``{1..B}^m``.
+
+    A rule whose grid has more than ``MAX_GRID_POINTS`` points is refused
+    before any rule is checked."""
     interp.check_covers(p.signature)
     bound = interp.grid_bound
+    for rule in p.rules:
+        points = bound ** rule.lhs.input_width
+        if points > MAX_GRID_POINTS:
+            raise TerminationError(
+                f"the grid for rule {rule.name} has {points} points, more "
+                f"than {MAX_GRID_POINTS}; lower the bound")
     checks = []
     for rule in p.rules:
         m = rule.lhs.input_width
@@ -446,3 +463,16 @@ bound 4
 
 def mon_interpretation() -> Interpretation:
     return parse_interpretation(MON_INTERP_TEXT)[1]
+
+
+#: Mon's interpretation of μ alone, for As₃, which has no η.
+AS_INTERP_TEXT = """\
+interp for As
+X mu (i, j) = i + j
+d mu (i, j) = i
+bound 4
+"""
+
+
+def as_interpretation() -> Interpretation:
+    return parse_interpretation(AS_INTERP_TEXT)[1]

@@ -1,0 +1,64 @@
+"""The front walk that re-walks every remaining slice at every step, and the
+cut and block searches first built on it.
+
+``_cuts``, ``_blocks`` and ``_lex_min`` now read one exchange state
+(``diagram._Branch``) that keeps each slice's walk between emissions; these
+are kept as its reference: on any diagram, ``fronts_cuts`` and
+``fronts_blocks`` must give the entries, splits and order that ``_cuts`` and
+``_blocks`` give.
+"""
+
+from typing import Iterator
+
+from polyrew.diagram import Diagram, Slice, _commute, _swap
+
+
+def _fronts(
+    entries: list[tuple[Slice, int]],
+) -> Iterator[tuple[Slice, int, list[tuple[Slice, int]]]]:
+    """Every slice that can be exchanged to the front of ``entries``, in order.
+
+    Yields triples ``(front_slice, original_index, remaining_entries)`` where
+    the remaining entries are given in their adjusted coordinates.  Slice
+    ``j`` walks upward while it commutes with the slice above it; the
+    remainder is built only when the walk reaches the top.
+    """
+    for j, (cur, cur_id) in enumerate(entries):
+        moved: list[tuple[Slice, int]] = []
+        for k in range(j - 1, -1, -1):
+            a, a_id = entries[k]
+            if not _commute(a, cur):
+                break
+            cur, a2 = _swap(a, cur)
+            moved.append((a2, a_id))
+        else:
+            yield cur, cur_id, moved[::-1] + entries[j + 1:]
+
+
+def fronts_cuts(d: Diagram) -> Iterator[tuple[list, list]]:
+    """One split ``(top, rest)`` of ``d``'s ``(slice, index)`` entries per
+    set of slices some exchange representative puts above a cut, by size;
+    each cut grows one above it by a front of its ``rest``."""
+    level = [([], [(s, i) for i, s in enumerate(d.slices)])]
+    while level:
+        yield from level
+        grown = {}
+        for top, rest in level:
+            for f, f_id, tail in _fronts(rest):
+                key = frozenset([i for _, i in top] + [f_id])
+                if key not in grown:
+                    grown[key] = (top + [(f, f_id)], tail)
+        level = list(grown.values())
+
+
+def fronts_blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
+    """One split ``(above, block, below)`` of an exchange representative of
+    ``d`` per pair of slice sets with a nonempty block: each cut of ``d``,
+    then each cut of its rest, built at the cut's width."""
+    for top, rest in fronts_cuts(d):
+        above = tuple(s for s, _ in top)
+        w = d.input_width + sum(s.gen.coarity - s.gen.arity for s in above)
+        for block, below in fronts_cuts(Diagram(w, tuple(s for s, _ in rest))):
+            if block:
+                yield (above, tuple(s for s, _ in block),
+                       tuple(s for s, _ in below))

@@ -16,6 +16,7 @@ from polyrew.rewrite import (
 )
 from polyrew.coherence import get_preset
 from polyrew.diagram import diagram_equal, parse_diagram
+from polyrew.termination import MON_INTERP_TEXT
 
 from test_coherence import beta_vs_whiskered_inverse, daleth1_legs
 
@@ -212,12 +213,15 @@ class TestTermination:
          "variable 'i' repeated in the X entry for mu on interpretation line 7"),
         ("d mu (i, j, k) = i",
          "an entry for mu declares 3 variables, more than its arity 2"),
-    ], ids=["negative", "variable-count", "repeated-variable", "long-variable-list"])
+        ("X nu (i) = i", "an entry for nu names no generator of Mon"),
+    ], ids=["negative", "variable-count", "repeated-variable", "long-variable-list",
+            "unknown-generator"])
     def test_malformed_interp_exits_2(self, capsys, tmp_path, line, message):
-        # The line overrides mon's entry for the same generator.  No file
-        # may pass or end in a traceback: ``-1`` is not ``1``, ``mu`` has
-        # two variables, not three, and ``(i, i)`` does not say which input
-        # ``i`` reads.
+        # The line overrides mon's entry for the same generator, or adds one
+        # for a generator mon lacks.  No file may pass or end in a
+        # traceback: ``-1`` is not ``1``, ``mu`` has two variables, not
+        # three, ``(i, i)`` does not say which input ``i`` reads, and ``nu``
+        # is likely a misspelt ``mu``.
         interp = tmp_path / "bad.interp"
         interp.write_text(
             "interp for Mon\n"
@@ -228,6 +232,22 @@ class TestTermination:
             capsys, "termination", "--preset", "mon", "--interp", str(interp)
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("termination", "--preset", "mon", "--bound", "1000000"),
+        ("termination", "--preset", "mon", "--interp", "BIG"),
+        ("info", "--preset", "mon", "--bound", "100000"),
+    ], ids=["bound-flag", "bound-line", "info"])
+    def test_unbounded_grid_exits_2(self, capsys, tmp_path, argv):
+        # alpha's grid has bound ** 3 points: far past the limit, refused
+        # before any point is walked.
+        big = tmp_path / "big.interp"
+        big.write_text(MON_INTERP_TEXT.replace("bound 4", "bound 1000000"))
+        argv = [str(big) if a == "BIG" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the grid for rule alpha has ")
+        assert "points, more than 100000" in err
 
     def test_no_interp_available(self, capsys):
         code, _, err = run(capsys, "termination", "--preset", "perm")

@@ -26,7 +26,6 @@ from polyrew.diagram import (
     _commute,
     _cuts,
     _ends,
-    _fronts,
     _reaches_end,
     _swap,
     canonical_form,
@@ -76,6 +75,7 @@ from polyrew.critical import (
 from polyrew.termination import mon_interpretation
 
 from conftest import make_as_polygraph, make_mon_polygraph
+from exchange_oracle import _fronts
 from test_diagram import all_diagrams as every_diagram
 
 

@@ -13,8 +13,9 @@ from polyrew.diagram import (
     ParseError,
     Signature,
     Slice,
+    _blocks,
     _commute,
-    _fronts,
+    _cuts,
     _swap,
     canonical_form,
     canonical_form_with_ids,
@@ -28,6 +29,7 @@ from polyrew.diagram import (
     vcomp,
 )
 from conftest import ETA, MU
+from exchange_oracle import _fronts, fronts_blocks, fronts_cuts
 from parse_oracle import oracle_parse_diagram
 
 
@@ -435,6 +437,41 @@ class TestIterativeCanonicalForm:
     def test_parallel_eta(self):
         canon = canonical_form(self.parallel(12))
         assert canon.slices == tuple(Slice(0, ETA) for _ in range(12))
+
+
+class TestExchangeStates:
+    """``_cuts`` and ``_blocks`` search the states of ``_Branch``, which keep
+    each walk between emissions.  The search that re-walks every remaining
+    slice at every cut (``fronts_cuts`` and ``fronts_blocks``) is their
+    reference: the same entries, the same splits, in the same order."""
+
+    SMALL = Signature("Small", (MU, ETA, GeneratorSym("delta", 1, 2),
+                                GeneratorSym("eps", 1, 0),
+                                GeneratorSym("bubble", 0, 0)))
+    PROP = Signature("MuEta", (MU, ETA), is_prop=True)
+
+    @staticmethod
+    def assert_matches_oracle(d):
+        assert list(_cuts(d)) == list(fronts_cuts(d)), print_diagram(d)
+        assert list(_blocks(d)) == list(fronts_blocks(d)), print_diagram(d)
+
+    def test_all_small_diagrams(self):
+        # Up to three slices, no wider than 4 anywhere: over units, counits,
+        # splits, merges and a 0 -> 0 bubble, and over the prop {mu, eta}.
+        ds = (all_diagrams(self.SMALL, 3, 2, max_width=4)
+              + all_diagrams(self.PROP, 3, 3, max_width=4))
+        assert len(ds) == 3_013
+        for d in ds:
+            self.assert_matches_oracle(d)
+
+    def test_random_diagrams(self):
+        rng = random.Random("exchange-states")
+        for n in range(200):
+            sig = (self.SMALL, self.PROP)[n % 2]
+            d = random_diagram(sig, rng, max_slices=6, max_width=4)
+            while len(d.slices) < 4:
+                d = random_diagram(sig, rng, max_slices=6, max_width=4)
+            self.assert_matches_oracle(d)
 
 
 class TestInterchange:

@@ -1,6 +1,7 @@
 """Tests for matching, steps, normalization, and traces."""
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -83,19 +84,31 @@ class TestFindMatches:
                 for m in find_matches(d, rule.lhs):
                     assert diagram_equal(m.context.plug(rule.lhs), d)
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def pattern_members(pattern):
+        """The closure of ``pattern``, and the generator sequences of its
+        members."""
+        members = set(exchange_closure(pattern))
+        return members, {tuple(s.gen for s in m) for m in members}
+
     def brute_force_match_count(self, d, pattern):
         """Count distinct contexts C with C[pattern] ~ d by trying every
         split of every closure member against every closure member of the
-        pattern."""
+        pattern.  A window whose generators are those of no member is
+        skipped: a shifted window equals a member only if its generators
+        do."""
         hits = set()
         k = len(pattern)
-        pat_members = set(exchange_closure(pattern))
+        pat_members, pat_gens = self.pattern_members(pattern)
         for member in exchange_closure(d):
             widths = [d.input_width]
             for s in member:
                 widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
             for i in range(len(member) - k + 1):
                 window = member[i: i + k]
+                if tuple(s.gen for s in window) not in pat_gens:
+                    continue
                 for shift in range(widths[i] - pattern.input_width + 1):
                     shifted = tuple(Slice(s.offset - shift, s.gen)
                                     for s in window

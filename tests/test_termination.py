@@ -1,8 +1,12 @@
 """Tests for interpretation evaluation and the grid certificate."""
 
+import dataclasses
 import random
 
 import pytest
+
+import polyrew.termination as termination
+from polyrew.coherence import get_preset
 
 from polyrew.diagram import Diagram, exchange_closure, identity, parse_diagram
 from polyrew.rewrite import Polygraph, Rule
@@ -10,6 +14,7 @@ from polyrew.termination import (
     Add,
     Const,
     Interpretation,
+    MAX_GRID_POINTS,
     MON_INTERP_TEXT,
     Max,
     TerminationError,
@@ -119,6 +124,37 @@ class TestCheckDecrease:
         bad = Interpretation({}, {}, 4)
         with pytest.raises(TerminationError):
             check_decrease(mon_polygraph, bad)
+
+    def test_entry_for_unknown_generator(self, mon_polygraph):
+        for line in ("X nu (i) = i\n", "d nu (i) = 0\n"):
+            _, interp = parse_interpretation(MON_INTERP_TEXT + line)
+            with pytest.raises(TerminationError,
+                               match="an entry for nu names no generator of Mon"):
+                check_decrease(mon_polygraph, interp)
+
+    def test_as_preset_interprets_mu_only(self):
+        # Mon's interpretation has eta entries, which As lacks.
+        preset = get_preset("as")
+        assert set(preset.interp.x_entries) == set(preset.interp.d_entries) == {"mu"}
+        assert check_decrease(preset.polygraph, preset.interp).passed
+
+    def test_grid_limit(self, mon_polygraph, monkeypatch):
+        # alpha reads three inputs: bound 46 gives 97,336 points and 47
+        # gives 103,823, past the limit.  The limit is checked for every
+        # rule before any point of lambda, the first rule, is walked.
+        assert 46 ** 3 <= MAX_GRID_POINTS < 47 ** 3
+        walks = []
+        real_walk = termination._walk
+        monkeypatch.setattr(termination, "_walk",
+                            lambda *a: walks.append(a) or real_walk(*a))
+        lam = mon_polygraph.rule("lambda")
+        p = Polygraph(mon_polygraph.signature, (lam, mon_polygraph.rule("alpha")))
+        with pytest.raises(TerminationError,
+                           match="the grid for rule alpha has 103823 points, "
+                                 "more than 100000"):
+            check_decrease(p, dataclasses.replace(mon_interpretation(),
+                                                  grid_bound=47))
+        assert walks == []
 
 
 class TestFormat:
