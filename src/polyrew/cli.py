@@ -6,7 +6,8 @@ polygraph comes from a compiled-in preset (``--preset``) or, where the verb
 reads it, a file (``--polygraph``).  Exit codes: 0 = success/Equal, 1 =
 the analysis found a failure (non-confluence, failed certificate,
 NotEqual/NotParallel), 2 = input error, including input too large to process
-(``RecursionError`` or ``MemoryError``) and a flag the verb does not read.
+(``RecursionError``, ``MemoryError`` or ``OverflowError``), a negative
+``--budget`` and a flag the verb does not read.
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ class InputError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
+def _natural(text: str) -> int:
+    """A ``--budget`` value: a decimal natural."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural, not {n}")
+    return n
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first ``main`` call, not at import, and reused: in-process
@@ -67,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace": dict(action="append", default=[], metavar="FILE"),
         "--interp": dict(metavar="FILE"),
         "--bound": dict(type=int),
-        "--budget": dict(type=int, default=DEFAULT_BUDGET),
+        "--budget": dict(type=_natural, default=DEFAULT_BUDGET),
         "--assume-terminating": dict(action="store_true"),
     }
     for verb, (_, flags) in _VERBS.items():
@@ -292,7 +304,7 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         sys.stderr.write(f"error: input too large ({type(exc).__name__})\n")
         return 2
 

@@ -15,15 +15,18 @@ each class, the left-greedy (lexicographically least) slice sequence, in one
 loop that emits the least front and keeps every branch that ties, so a comb
 of n slices costs n - 1 exchange tests; ``_cuts`` and ``_blocks``, the cut
 walks of critical-branching enumeration, search breadth-first over the same
-states.  ``diagram_equal`` compares canonical forms.  This is exact only when
-no generator has coarity 0: with one, the single-swap relation is not
-symmetric, and equal 2-cells can get different canonical forms.  Over
-``eta : 0 -> 1``, ``delta : 1 -> 2`` and ``eps : 1 -> 0``, the closure of
-``eta ; delta ; (eta * id 2) ; (eps * id 2)`` holds ``eta ; eps ; eta ;
-delta``, whose own closure does not hold the first, and ``diagram_equal``
-calls the two different.  ``exchange_closure`` computes the full class by
-brute force; it serves as the correctness oracle for the canonical form and
-as the completeness backbone of pattern matching.
+states.  Given a *window* of slices, the same loop gives the least
+representative that emits them consecutively, in order; matching builds a
+context that way when it found the match on one wire-connected component,
+which ``_restrict`` cuts out of the diagram.  ``diagram_equal`` compares
+canonical forms.  This is exact only when no generator has coarity 0: with
+one, the single-swap relation is not symmetric, and equal 2-cells can get
+different canonical forms.  Over ``eta : 0 -> 1``, ``delta : 1 -> 2`` and
+``eps : 1 -> 0``, the closure of ``eta ; delta ; (eta * id 2) ; (eps * id
+2)`` holds ``eta ; eps ; eta ; delta``, whose own closure does not hold the
+first, and ``diagram_equal`` calls the two different.  ``exchange_closure``
+computes the full class by brute force; it serves as the correctness oracle
+for the canonical form and as the completeness backbone of pattern matching.
 
 Conventions: offsets are 0-based internally, wires are numbered from the left,
 and ``;`` in the textual grammar is vertical composition read top to bottom.
@@ -393,7 +396,7 @@ def _blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
                        tuple(s for s, _ in below))
 
 
-def _lex_min(slices) -> list[tuple[Slice, int]]:
+def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
     """The lexicographically least representative of the exchange class of
     ``slices``, as ``(slice, input position)`` entries.
 
@@ -408,27 +411,100 @@ def _lex_min(slices) -> list[tuple[Slice, int]]:
     remaining slice each round, for arity-0 and coarity-0 generators too,
     and a comb of n slices makes n - 1 ``_commute`` calls instead of
     n(n - 1)/2.  A branch is copied only when it splits on a tie.
+
+    A ``window``, a tuple of input positions, asks for the least
+    representative in which they are emitted consecutively, in that order:
+    each round keeps only the fronts :func:`_window_fronts` allows.
     """
     branch = _Branch.start(slices)
     branches = [branch]
     for _ in range(len(slices)):
+        if window:
+            ties = [_window_fronts(b, window) for b in branches]
         # The common round: one branch with one least front.
-        if len(branches) == 1 and len(branch.tied) == 1:
+        elif len(branches) == 1 and len(branch.tied) == 1:
             branch.emit(branch.tied[0])
             continue
-        best = min(b.best for b in branches)
+        else:
+            ties = [(b.best, b.tied) for b in branches]
+        best = min(key for key, _ in ties)
         grown = []
-        for b in branches:
-            if b.best == best:
-                for t in b.tied[:-1]:
+        for b, (key, tied) in zip(branches, ties):
+            if key == best:
+                for t in tied[:-1]:
                     c = b.split()
                     c.emit(t)
                     grown.append(c)
-                b.emit(b.tied[-1])
+                b.emit(tied[-1])
                 grown.append(b)
         branches = grown
         branch = branches[0]
     return branch.cut()[0]
+
+
+def _window_fronts(b: _Branch, window) -> tuple[tuple, list]:
+    """The least ``(offset, name)`` among the fronts of ``b`` that keep
+    ``window`` consecutive and in order, and the fronts that have it.
+
+    Once the window's first position is emitted, only the next one may
+    follow.  Before that, no later position may be emitted, and the first
+    only when the rest can follow it as fronts, one after another."""
+    last = b.emitted[2] if b.emitted else None
+    if last in window[:-1]:
+        x = window[window.index(last) + 1]
+        s = b.fronts[x][0]
+        return (s.offset, s.gen.name), [x]
+    best, tied = None, []
+    for x, (s, _) in b.fronts.items():
+        key = s.offset, s.gen.name
+        if x in window[1:] or (tied and key > best):
+            continue
+        if x == window[0] and not _follows(b, window):
+            continue
+        if not tied or key < best:
+            best, tied = key, [x]
+        else:
+            tied.append(x)
+    return best, tied
+
+
+def _follows(b: _Branch, window) -> bool:
+    """Whether ``window`` can be emitted from ``b``, each a front once the
+    ones before it are emitted; ``b`` is not changed."""
+    c = b.split()
+    for x in window:
+        if x not in c.fronts:
+            return False
+        c.emit(x)
+    return True
+
+
+def _restrict(d: Diagram, labels, keep) -> tuple[Diagram, list[int]]:
+    """The slices of ``d`` whose label is ``keep``, on their own wires.
+
+    ``labels[i]`` labels slice ``i``, and a wire takes the label of the
+    slice that produces it, else of the one that consumes it.  Each kept
+    slice's offset counts only the wires left of it that have label
+    ``keep``; ``back[k]`` is the index in ``d`` of kept slice ``k``.
+    """
+    # An input wire has no producer: find its consumer first.
+    inputs = [None] * d.input_width
+    wires = list(range(d.input_width))
+    for s, c in zip(d.slices, labels):
+        o, g = s.offset, s.gen
+        for x in wires[o: o + g.arity]:
+            if x is not None:
+                inputs[x] = c
+        wires[o: o + g.arity] = [None] * g.coarity
+    wires = inputs[:]
+    kept, back = [], []
+    for i, (s, c) in enumerate(zip(d.slices, labels)):
+        o, g = s.offset, s.gen
+        if c == keep:
+            kept.append(Slice(wires[:o].count(keep), g))
+            back.append(i)
+        wires[o: o + g.arity] = [c] * g.coarity
+    return Diagram(inputs.count(keep), tuple(kept)), back
 
 
 @lru_cache(maxsize=1 << 17)

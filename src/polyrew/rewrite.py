@@ -6,17 +6,22 @@ A :class:`Step` is a whiskered application of a rule (or of its inverse) in a
 one-hole :class:`Context`, and a :class:`Trace` — a source diagram plus a
 sequence of steps — represents a 3-cell of the free track 3-category.
 
-Matching works modulo exchange: the closure of the subject diagram is
-enumerated once, and every pattern's canonical slice sequence is looked up
-in each member as a consecutive window under a uniform offset shift, so one
-closure pass serves all the rules of a polygraph.  This is exponential in the
-number of commuting slices but complete, which is what the critical-pair
-machinery needs; diagrams in scope stay small.  Before the closure is built,
-each pattern is tested against the subject's *wire kinds*: its generator
-names, and which output port of which generator feeds which input port of
-which.  Exchange keeps those, so a pattern with a kind the subject lacks
-cannot match and is skipped; when every pattern is skipped, no closure is
-built.  A match builds its context only when it is read.
+Matching works modulo exchange: an exchange closure is enumerated once, and
+every pattern's canonical slice sequence is looked up in each member as a
+consecutive window under a uniform offset shift, so one closure pass serves
+all the rules of a polygraph.  This is exponential in the number of
+commuting slices but complete, which is what the critical-pair machinery
+needs.  Before any closure is built, each pattern is tested against the
+subject's *wire kinds*: its generator names, and which output port of which
+generator feeds which input port of which.  Exchange keeps those, so a
+pattern with a kind the subject lacks cannot match and is skipped; when
+every pattern is skipped, no closure is built.  The same walk finds the
+subject's wire-connected components.  When every pattern left is connected
+and has no pass-through wire, and no slice has coarity 0, each match lies in
+one component, so each component is matched on its own closure and
+generators beside a redex cost no orders; otherwise the closure is the whole
+subject's.  A match builds its context only when it is read, the same on
+either path.
 
 Normalization applies the first match of the first applicable rule in
 declaration order.  Matches are ordered by their occurrence sets in canonical
@@ -28,14 +33,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 from .diagram import (
     Diagram,
     GeneratorSym,
     Signature,
-    Slice,
+    _lex_min,
+    _restrict,
     canonical_form,
+    canonical_form_with_ids,
     diagram_equal,
     exchange_closure_with_ids,
     identity,
@@ -160,7 +168,7 @@ def identity_context(pattern: Diagram) -> Context:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Match:
     """A found occurrence of a pattern: the matched slots, and its context.
 
@@ -169,109 +177,210 @@ class Match:
     are what branching enumeration overlaps on.  ``pattern`` is the index of
     the matched pattern among those given to :func:`find_matches`.
 
-    The :attr:`context` is built on first read, since most callers read few
-    (``normalize`` only the first match's): the match keeps the closure
-    ``member`` it was found in, the subject's ``input_width``, the window's
-    start ``at``, the whiskers ``left`` and ``right``, and the width
-    ``bottom_width`` below the hole.
+    The :attr:`context` is built on first read, by ``frame``, since most
+    callers read few (``normalize`` only the first match's).  Two matches
+    are equal when their pattern, occurrences and context are, whichever
+    way :func:`find_matches` found them.
     """
 
     occurrences: frozenset[int]
     pattern: int
-    member: tuple[Slice, ...] = field(repr=False)
-    input_width: int = field(repr=False)
-    at: int = field(repr=False)
-    left: int = field(repr=False)
-    right: int = field(repr=False)
-    bottom_width: int = field(repr=False)
+    frame: Callable[[], Context] = field(repr=False)
 
     @cached_property
     def context(self) -> Context:
-        end = self.at + len(self.occurrences)
-        return Context(
-            Diagram(self.input_width, self.member[:self.at]),
-            self.left,
-            self.right,
-            Diagram(self.bottom_width, self.member[end:]),
-        )
+        return self.frame()
+
+    def __eq__(self, other):
+        if not isinstance(other, Match):
+            return NotImplemented
+        return ((self.pattern, self.occurrences, self.context)
+                == (other.pattern, other.occurrences, other.context))
+
+    def __hash__(self):
+        return hash((self.pattern, self.occurrences))
 
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.occurrences))
 
 
-def _wire_kinds(d: Diagram) -> frozenset:
-    """The generator names of ``d``, plus ``(g, p, h, q)`` for each inner
-    wire from output ``p`` of a ``g`` to input ``q`` of an ``h``."""
+def _wire_walk(d: Diagram) -> tuple[set, list[int], list]:
+    """One pass over the slices of ``d``: its wire kinds, a union-find forest
+    over its slices, and what feeds each output wire.
+
+    The kinds are the generator names of ``d``, plus ``(g, p, h, q)`` for
+    each inner wire from output ``p`` of a ``g`` to input ``q`` of an ``h``.
+    In the forest, ``parent``, two slices joined by a wire have one root.
+    Each output wire is fed by ``(slice, generator name, port)``, or by
+    ``None`` when no slice produces it: an input wire passes through.
+    """
     kinds = set()
+    parent = []
     wires = [None] * d.input_width  # per wire, the output that feeds it
-    for s in d.slices:
+    for i, s in enumerate(d.slices):
         g, o = s.gen, s.offset
-        kinds.add(g.name)
-        for q in range(g.arity):
-            if wires[o + q] is not None:
-                kinds.add(wires[o + q] + (g.name, q))
-        wires[o: o + g.arity] = [(g.name, p) for p in range(g.coarity)]
-    return frozenset(kinds)
+        name = g.name
+        kinds.add(name)
+        parent.append(i)
+        for q, w in enumerate(wires[o: o + g.arity]):
+            if w is not None:
+                j, h, p = w
+                kinds.add((h, p, name, q))
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                parent[j] = i
+        wires[o: o + g.arity] = [(i, name, p) for p in range(g.coarity)]
+    return kinds, parent, wires
+
+
+def _wire_kinds(d: Diagram) -> frozenset:
+    """The wire kinds of ``d`` (see :func:`_wire_walk`)."""
+    return frozenset(_wire_walk(d)[0])
+
+
+def _roots(parent: list[int]) -> list[int]:
+    """The root of each slice in the forest ``parent``."""
+    roots = []
+    for j in range(len(parent)):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        roots.append(j)
+    return roots
 
 
 @lru_cache(maxsize=1 << 12)
-def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset]:
-    """A pattern's canonical form and wire kinds, built once per pattern."""
-    return canonical_form(pattern), _wire_kinds(pattern)
+def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset, bool]:
+    """A pattern's canonical form and wire kinds, and whether it is closed:
+    connected, with every input wire consumed and every output wire produced
+    by one of its slices.  Built once per pattern."""
+    kinds, parent, wires = _wire_walk(pattern)
+    closed = len(set(_roots(parent))) == 1 and None not in wires
+    return canonical_form(pattern), frozenset(kinds), closed
+
+
+def _windows(members, width: int, pats):
+    """``(pattern index, pattern, slices, ids, start)`` for each window of
+    each exchange closure member ``(slices, ids)`` of a diagram of input
+    width ``width`` that equals the canonical slices of one of ``pats``,
+    ``(index, canonical pattern)`` pairs, under a uniform offset shift with
+    room for the pattern's wires; ``ids`` are the window's."""
+    for slices, ids in members:
+        widths = None
+        for n, pat in pats:
+            ps = pat.slices
+            k = len(ps)
+            first = ps[0]
+            for i in range(len(slices) - k + 1):
+                # Most windows differ from the pattern in their first name.
+                if slices[i].gen.name != first.gen.name:
+                    continue
+                shift = slices[i].offset - first.offset
+                if shift < 0 or any(
+                    slices[i + j].gen != ps[j].gen
+                    or slices[i + j].offset != ps[j].offset + shift
+                    for j in range(k)
+                ):
+                    continue
+                if widths is None:
+                    widths = [width]
+                    for s in slices:
+                        widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
+                if widths[i] - shift - pat.input_width >= 0:
+                    yield n, pat, slices, ids[i: i + k], i
+
+
+def _context(slices, width: int, at: int, pat: Diagram) -> Context:
+    """The context of ``pat``'s window at ``at`` in ``slices``, a sequence
+    of input width ``width``."""
+    top = Diagram(width, slices[:at])
+    w = top.output_width
+    shift = slices[at].offset - pat.slices[0].offset
+    return Context(
+        top, shift, w - shift - pat.input_width,
+        Diagram(w - pat.input_width + pat.output_width,
+                slices[at + len(pat.slices):]),
+    )
+
+
+def _window_context(subject: Diagram, window: tuple[int, ...],
+                    pat: Diagram) -> Context:
+    """The context of ``pat``'s window at the positions ``window`` of
+    ``subject``, a canonical form, in the least member of its exchange class
+    that has it: ``subject`` itself when the window is already in place."""
+    at, slices = window[0], subject.slices
+    if window != tuple(range(at, at + len(window))):
+        entries = _lex_min(slices, window)
+        slices = tuple(s for s, _ in entries)
+        at = [x for _, x in entries].index(at)
+    return _context(slices, subject.input_width, at, pat)
 
 
 def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     """Every occurrence of each of ``patterns`` in ``d`` modulo exchange.
 
-    One pass over the exchange closure of ``d`` serves every pattern.
     Deduplicated by pattern and matched-occurrence set; ordered by pattern,
     then by occurrence positions in the canonical slice numbering of ``d``
-    (leftmost-uppermost first).  No patterns, no matches.
+    (leftmost-uppermost first).  No patterns, no matches.  Each match's
+    context is the prefix and suffix of the lexicographically least
+    exchange representative of ``d`` in which its occurrences form the
+    pattern's canonical slices.
 
-    A pattern whose wire kinds (:func:`_wire_kinds`) are not all kinds of
-    ``d`` is skipped, and if every pattern is, the closure is not built.
-    That is sound: exchange moves slices past others they share no wire
-    with, so it keeps which output port feeds which input port and every
-    closure member has ``d``'s kinds; and a window equal to a pattern has
-    that pattern's kinds.
+    A pattern whose wire kinds (:func:`_wire_walk`) are not all kinds of
+    ``d`` is skipped, and if every pattern is, no closure is built.  That is
+    sound: exchange moves slices past others they share no wire with, so it
+    keeps which output port feeds which input port and every closure member
+    has ``d``'s kinds; and a window equal to a pattern has that pattern's
+    kinds.
+
+    The patterns left are looked for in exchange closures, one pass serving
+    them all.  When every one of them is closed (:func:`_pattern_form`) and
+    no slice of ``d`` has coarity 0, each occurrence lies in one
+    wire-connected component of ``d``, so each component whose kinds some
+    pattern needs is matched on its own closure (:func:`_restrict`), and
+    bystanders in other components cost no orders; a match's context is
+    then built by the window-constrained :func:`_lex_min`.  Otherwise the
+    closure is the whole subject's, and a context is read off the first
+    member, in closure order, that holds the match.
     """
     if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
-    kinds = _wire_kinds(d)
-    pats = []
+    kinds, parent, _ = _wire_walk(d)
+    pats, all_closed = [], True
     for n, pattern in enumerate(patterns):
-        canon, needs = _pattern_form(pattern)
+        canon, needs, closed = _pattern_form(pattern)
         if needs <= kinds:
-            pats.append((n, canon))
+            pats.append((n, canon, needs))
+            all_closed = all_closed and closed
     if not pats:
         return []
     subject = canonical_form(d)
     found: dict[tuple[int, frozenset[int]], Match] = {}
-    for slices, ids in exchange_closure_with_ids(subject):
-        widths = [subject.input_width]
-        for s in slices:
-            widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
-        for n, pat in pats:
-            k = len(pat)
-            for i in range(len(slices) - k + 1):
-                shift = slices[i].offset - pat.slices[0].offset
-                if shift < 0:
-                    continue
-                if any(
-                    slices[i + j].gen != pat.slices[j].gen
-                    or slices[i + j].offset != pat.slices[j].offset + shift
-                    for j in range(k)
-                ):
-                    continue
-                right = widths[i] - shift - pat.input_width
-                if right < 0:
-                    continue
-                occ = frozenset(ids[i: i + k])
+    # More than one root in the forest: more than one component.
+    if (all_closed and sum(map(int.__eq__, parent, range(len(parent)))) > 1
+            and all(s.gen.coarity for s in d.slices)):
+        roots = _roots(parent)
+        labels = [roots[i] for i in canonical_form_with_ids(d)[1]]
+        for c in dict.fromkeys(labels):
+            part, back = _restrict(subject, labels, c)
+            has = _wire_walk(part)[0]
+            here = [(n, canon) for n, canon, needs in pats if needs <= has]
+            if not here:
+                continue
+            for n, pat, _, ids, _ in _windows(
+                    exchange_closure_with_ids(part), part.input_width, here):
+                window = tuple(back[x] for x in ids)
+                occ = frozenset(window)
                 if (n, occ) not in found:
-                    found[n, occ] = Match(
-                        occ, n, slices, subject.input_width, i, shift, right,
-                        widths[i] - pat.input_width + pat.output_width,
-                    )
+                    found[n, occ] = Match(occ, n, partial(
+                        _window_context, subject, window, pat))
+    else:
+        here = [(n, canon) for n, canon, _ in pats]
+        for n, pat, slices, ids, i in _windows(
+                exchange_closure_with_ids(subject), subject.input_width, here):
+            occ = frozenset(ids)
+            if (n, occ) not in found:
+                found[n, occ] = Match(occ, n, partial(
+                    _context, slices, subject.input_width, i, pat))
     matches = list(found.values())
     matches.sort(key=lambda m: (m.pattern, m.key()))
     return matches

@@ -75,6 +75,36 @@ class TestNormalize:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_width_past_an_index_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "normalize", "--preset", "mon",
+            "--expr", "id 99999999999999999999",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: input too large (OverflowError)\n"
+
+    @pytest.mark.parametrize("verb", ["normalize", "confluence", "info"])
+    def test_negative_budget_exits_2(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--preset", "mon", "--budget", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget: must be a natural, not -1" in captured.err
+
+    def test_zero_budget_still_allows_a_normal_input(self, capsys):
+        code, out, _ = run(
+            capsys, "normalize", "--preset", "mon", "--expr", "mu",
+            "--budget", "0",
+        )
+        assert (code, out) == (0, "mu\n0 step(s)\n")
+        code, _, err = run(
+            capsys, "normalize", "--preset", "mon", "--expr", "(mu * id 1) ; mu",
+            "--budget", "0",
+        )
+        assert code == 2
+        assert "exceeded budget of 0 steps" in err
+
 
 class TestCritical:
     def test_mon_five(self, capsys):

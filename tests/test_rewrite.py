@@ -10,7 +10,9 @@ import pytest
 from polyrew.diagram import (
     Diagram,
     DiagramError,
+    GeneratorSym,
     ParseError,
+    Signature,
     Slice,
     _commute,
     _swap,
@@ -22,6 +24,7 @@ from polyrew.diagram import (
     identity,
     parse_diagram,
     print_diagram,
+    vcomp,
 )
 from polyrew.rewrite import (
     BudgetExceededError,
@@ -276,6 +279,21 @@ class TestOneClosurePerSubject:
         assert len(critical_pairs_on(mon_polygraph, d)) == 1
         assert len(closures) == 1
 
+    def test_redex_beside_parallel_mu(self, mon_polygraph, closures):
+        # Each wire-connected component is matched on its own closure, so
+        # the seven bystanders cost no orders: at most one member for the
+        # redex and one for each bystander.
+        sig = mon_polygraph.signature
+        redex = "((mu * id 1) ; mu)"
+        _, trace = normalize(parse_diagram(redex + " * mu" * 7, sig),
+                             mon_polygraph)
+        assert len(trace.steps) == 1
+        assert sum(len(exchange_closure_with_ids(c)) for c in closures) <= 16
+        d = parse_diagram(redex + " * mu" * 5, sig)
+        _, trace = normalize(d, mon_polygraph)
+        lhss = [r.lhs for r in mon_polygraph.rules]
+        assert trace.steps[0].context == unfiltered_matches(d, *lhss)[0][2]
+
 
 def unfiltered_matches(d, *patterns):
     """``(pattern, occurrences, context)`` of every match: the closure scan
@@ -358,6 +376,118 @@ class TestWireKinds:
         assert len(ms) == 2 and not built
         assert ms[0].context is ms[0].context
         assert len(built) == 1
+
+
+def components(d):
+    """The number of wire-connected components among the slices of ``d``."""
+    root = list(range(len(d)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    producer = [None] * d.input_width
+    for i, s in enumerate(d.slices):
+        for j in producer[s.offset: s.offset + s.gen.arity]:
+            if j is not None:
+                root[find(j)] = i
+        producer[s.offset: s.offset + s.gen.arity] = [i] * s.gen.coarity
+    return len({find(i) for i in range(len(d))})
+
+
+def cup_polygraph():
+    """A prop with a cap ``cup : 0 -> 2``, so that a unit can sit between
+    two wires it has no wire to, and rules whose sources are closed."""
+    sig = Signature("Cup", (
+        GeneratorSym("mu", 2, 1),
+        GeneratorSym("eta", 0, 1),
+        GeneratorSym("cup", 0, 2),
+        GeneratorSym("delta", 1, 2),
+    ), is_prop=True)
+
+    def rule(name, lhs, rhs):
+        return Rule(name, parse_diagram(lhs, sig), parse_diagram(rhs, sig))
+
+    return Polygraph(sig, (
+        rule("fold", "cup ; mu", "eta"),
+        rule("unit", "(eta * id 1) ; mu", "id 1"),
+        rule("frob", "delta ; mu", "id 1"),
+        rule("twist", "cup ; tau", "cup"),
+        rule("copy", "eta ; delta", "cup"),
+    ))
+
+
+class TestComponentSplit:
+    """Matching each wire-connected component on its own closure finds the
+    matches and contexts of the whole subject's closure."""
+
+    # The sources are chains; each closed extra has two slices either of
+    # which can come first.
+    @pytest.mark.parametrize("p, extra", [
+        (get_preset("mon").polygraph, ["id 1 * eta", "mu * id 1", "eta * eta",
+                                       "(mu * eta) ; mu", "(eta * eta) ; mu"]),
+        (get_preset("sym_prime").polygraph, ["id 1 * mu", "tau * id 1",
+                                             "(mu * mu) ; mu"]),
+        (cup_polygraph(), ["id 1 * eta", "cup * cup", "mu * id 1",
+                           "(eta * eta) ; mu"]),
+        (counit_polygraph(), ["id 1 * eta", "delta * id 1",
+                              "delta ; (delta * delta)"]),
+    ], ids=["mon", "sym_prime", "cup", "counit"])
+    def test_matches_whole_closure(self, p, extra, monkeypatch):
+        split = []
+        restrict = polyrew.rewrite._restrict
+
+        def counting(*args):
+            split.append(args)
+            return restrict(*args)
+
+        monkeypatch.setattr(polyrew.rewrite, "_restrict", counting)
+        sig = p.signature
+        sources = [r.lhs for r in p.rules]
+        extra = [parse_diagram(e, sig) for e in extra]
+        rng = random.Random(sig.name)
+        checked = 0
+        while checked < 20:
+            d = diagram_from(sig, rng, rng.randint(0, 3), max_slices=8)
+            if sig.has("cup") and rng.random() < 0.5:
+                # A unit between the wires of a cap.
+                w = rng.randint(0, 2)
+                d = vcomp(parse_diagram(f"id {w} * cup", sig),
+                          parse_diagram(f"id {w + 1} * eta * id 1", sig),
+                          diagram_from(sig, rng, w + 3, max_slices=6))
+            # Two to four components: more add orders, not new layouts, and
+            # the oracle pays for every order.
+            if not (4 <= len(d) <= 8 and 2 <= components(d) <= 4):
+                continue
+            checked += 1
+            # One closure for the oracle: it treats each pattern alone.
+            want = unfiltered_matches(d, *sources, *extra)
+            k = len(sources)
+            for pats in (range(k), [*range(k), k + rng.randrange(len(extra))],
+                         range(k, k + len(extra))):
+                index = {n: k for k, n in enumerate(pats)}
+                got = [(m.pattern, m.occurrences, m.context) for m in
+                       find_matches(d, *[(sources + extra)[n] for n in pats])]
+                assert got == [(index[n], occ, ctx) for n, occ, ctx in want
+                               if n in index], print_diagram(d)
+        if p.signature.name == "Counit":
+            assert not any(s.gen.name == "eps" for args in split
+                           for s in args[0].slices)
+        else:
+            assert split
+
+    def test_window_takes_the_patterns_order(self, mon_polygraph):
+        # The pattern's canonical order emits its mu before its eta; the
+        # subject's canonical numbering puts that eta first.
+        sig = mon_polygraph.signature
+        d = parse_diagram(
+            "eta ; (id 1 * eta) ; mu ; (id 1 * eta) ; mu ; (eta * id 1)", sig)
+        pat = parse_diagram("(mu * eta) ; mu", sig)
+        got = [(m.pattern, m.occurrences, m.context)
+               for m in find_matches(d, pat)]
+        assert len(got) == 1
+        assert got == unfiltered_matches(d, pat)
 
 
 class TestSteps:
