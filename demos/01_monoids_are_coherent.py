@@ -12,11 +12,10 @@ Run:  python3 demos/01_monoids_are_coherent.py
 from polyrew import (
     asphericity_pipeline,
     check_decrease,
-    check_local_confluence,
-    enumerate_critical_branchings,
     export_identity_generators,
     get_preset,
     homotopy_basis,
+    local_confluence,
     normalize,
     parse_diagram,
     print_diagram,
@@ -42,9 +41,9 @@ def main() -> None:
     print(f"    --[{len(trace.steps)} steps]-->  {print_diagram(nf)}")
 
     print("\n== Critical branchings ==")
-    branchings = enumerate_critical_branchings(p)
-    for b in branchings:
-        result = check_local_confluence(p, b)
+    results, _ = local_confluence(p)
+    for result in results:
+        b = result.branching
         n1 = len(result.completion1.steps)
         n2 = len(result.completion2.steps)
         print(

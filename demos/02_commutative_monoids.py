@@ -19,12 +19,11 @@ Run:  python3 demos/02_commutative_monoids.py
 """
 
 from polyrew import (
-    FailureReport,
-    check_local_confluence,
     classify_branching,
     close_modulo_structure,
     enumerate_critical_branchings,
     get_preset,
+    local_confluence,
     print_diagram,
 )
 
@@ -49,11 +48,7 @@ def main() -> None:
         print(f"  {fam:<28} {len(tally.get(fam, ()))}")
 
     print("\n== Local confluence ==")
-    failures = []
-    for b in branchings:
-        result = check_local_confluence(p, b)
-        if isinstance(result, FailureReport):
-            failures.append(result)
+    _, failures = local_confluence(p)
     print(f"  {len(branchings) - len(failures)} branchings close; "
           f"{len(failures)} do not close by forward rewriting:")
     for f in failures:

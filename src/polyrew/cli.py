@@ -4,10 +4,12 @@
 accepts only those flags, plus ``--format`` (text or JSON) and ``--out``.  A
 polygraph comes from a compiled-in preset (``--preset``) or, where the verb
 reads it, a file (``--polygraph``).  Exit codes: 0 = success/Equal, 1 =
-the analysis found a failure (non-confluence, failed certificate,
+the analysis found a failure (non-confluence, failed termination evidence,
 NotEqual/NotParallel), 2 = input error, including input too large to process
 (``RecursionError``, ``MemoryError`` or ``OverflowError``), a negative
-``--budget`` and a flag the verb does not read.
+``--budget`` and a flag the verb does not read.  A failed grid certificate
+exits 1 from ``termination``, ``homotopy-basis`` and ``info``, a failed smoke
+test 1 from ``info``; ``homotopy-basis`` given no evidence at all exits 2.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from .coherence import (
     get_preset,
 )
 from .critical import (
+    CertificateFailedError,
     ConfluenceError,
     CriticalError,
     asphericity_pipeline,
-    check_local_confluence,
     enumerate_critical_branchings,
     homotopy_basis,
-    FailureReport,
+    local_confluence,
 )
 from .diagram import DiagramError, canonical_form, parse_diagram, print_diagram
 from .rewrite import (
@@ -147,37 +149,25 @@ def _cmd_normalize(args):
 def _cmd_critical(args):
     p = _load_polygraph(args)
     branchings = enumerate_critical_branchings(p)
-    report = {
-        "count": len(branchings),
-        "branchings": [b.to_dict() for b in branchings],
-    }
+    report = {"count": len(branchings),
+              "branchings": [b.to_dict() for b in branchings]}
     lines = [f"{len(branchings)} critical branching(s)"]
-    for b in branchings:
-        lines.append(f"  {b.rules[0]} / {b.rules[1]} on {print_diagram(b.source)}")
+    lines += [f"  {b}" for b in branchings]
     return 0, report, "\n".join(lines)
 
 
 def _cmd_confluence(args):
     p = _load_polygraph(args)
-    branchings = enumerate_critical_branchings(p)
-    results = [check_local_confluence(p, b, args.budget) for b in branchings]
-    failures = [r for r in results if isinstance(r, FailureReport)]
+    results, failures = local_confluence(p, args.budget)
     report = {
-        "count": len(branchings),
+        "count": len(results),
         "confluent": not failures,
         "results": [r.to_dict() for r in results],
         "failure_count": len(failures),
     }
-    lines = [
-        f"{len(branchings)} branching(s), "
-        + ("all locally confluent" if not failures
-           else f"{len(failures)} NOT locally confluent")
-    ]
-    for f in failures:
-        lines.append(
-            f"  FAIL {f.branching.rules[0]} / {f.branching.rules[1]} on "
-            f"{print_diagram(f.branching.source)}"
-        )
+    closed = (f"{len(failures)} NOT" if failures else "all") + " locally confluent"
+    lines = [f"{len(results)} branching(s), {closed}"]
+    lines += [f"  FAIL {f.branching}" for f in failures]
     return (0 if not failures else 1), report, "\n".join(lines)
 
 
@@ -197,23 +187,13 @@ def _cmd_homotopy_basis(args):
     p = _load_polygraph(args)
     interp = _load_interp(args, _load_preset(args))
     try:
-        basis = homotopy_basis(
-            p,
-            interp=interp,
-            assume_terminating=args.assume_terminating,
-            budget=args.budget,
-        )
-    except ConfluenceError as exc:
-        report = {
-            "error": str(exc),
-            "failures": [f.to_dict() for f in exc.failures],
-        }
-        return 1, report, f"no homotopy basis: {exc}"
+        basis = homotopy_basis(p, interp, budget=args.budget,
+                               assume_terminating=args.assume_terminating)
+    except (CertificateFailedError, ConfluenceError) as exc:
+        return 1, exc.to_dict(), f"no homotopy basis: {exc}"
     report = {"count": len(basis), "cells": [cd.to_dict() for cd in basis]}
     lines = [f"homotopy basis with {len(basis)} generating 4-cell(s)"]
-    for cd in basis:
-        b = cd.branching
-        lines.append(f"  {b.rules[0]} / {b.rules[1]} on {print_diagram(b.source)}")
+    lines += [f"  {cd.branching}" for cd in basis]
     return 0, report, "\n".join(lines)
 
 
@@ -235,12 +215,7 @@ def _cmd_info(args):
     preset = _load_preset(args)
     interp = _load_interp(args, preset)
     expected = preset.expected_proper if preset else None
-    report = asphericity_pipeline(
-        p,
-        interp=interp,
-        expected_proper=expected,
-        budget=args.budget,
-    )
+    report = asphericity_pipeline(p, interp, expected, args.budget)
     lines = [
         f"polygraph {report.polygraph} "
         f"({'prop' if report.is_prop else 'pro'}, {len(p.rules)} rule(s))",

@@ -23,7 +23,7 @@ homotopy basis of the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import (
     Diagram,
@@ -54,6 +54,7 @@ from .rewrite import (
     find_matches,
     invert_trace,
     normalize,
+    print_trace,
 )
 from .termination import CertificateReport, Interpretation, check_decrease
 
@@ -181,6 +182,9 @@ class Branching:
             "source": print_diagram(self.source),
             "rules": list(self.rules),
         }
+
+    def __str__(self) -> str:
+        return f"{self.rules[0]} / {self.rules[1]} on {print_diagram(self.source)}"
 
 
 def _outer_whiskers(d: Diagram) -> tuple[bool, bool]:
@@ -373,8 +377,6 @@ class ConfluenceDiagram:
         return Trace(self.branching.source, (step,) + completion.steps)
 
     def to_dict(self) -> dict:
-        from .rewrite import print_trace
-
         return {
             "branching": self.branching.to_dict(),
             "completion1": print_trace(self.completion1, "completion1"),
@@ -493,12 +495,42 @@ def close_modulo_structure(
     return None
 
 
-class ConfluenceError(CriticalError):
-    """Raised when a homotopy basis is requested for a non-confluent system."""
+def local_confluence(p: Polygraph, budget: int = DEFAULT_BUDGET):
+    """Every critical branching of ``p`` closed by
+    :func:`check_local_confluence`, in branching order.
 
-    def __init__(self, message: str, failures: list[FailureReport]):
-        super().__init__(message)
+    Returns ``(results, failures)``: one :class:`ConfluenceDiagram` or
+    :class:`FailureReport` per branching, and the failures among them.
+    """
+    results = [check_local_confluence(p, b, budget)
+               for b in enumerate_critical_branchings(p)]
+    return results, [r for r in results if isinstance(r, FailureReport)]
+
+
+class ConfluenceError(CriticalError):
+    """Raised when a homotopy basis is requested for a non-confluent system;
+    ``failures`` are the branchings that do not close."""
+
+    def __init__(self, failures: list[FailureReport]):
+        super().__init__(f"{len(failures)} critical branching(s) are not "
+                         "locally confluent")
         self.failures = failures
+
+    def to_dict(self) -> dict:
+        return {"error": str(self),
+                "failures": [f.to_dict() for f in self.failures]}
+
+
+class CertificateFailedError(CriticalError):
+    """Raised when the termination certificate given for a homotopy basis
+    fails; ``certificate`` is its report."""
+
+    def __init__(self, certificate: CertificateReport):
+        super().__init__(f"termination evidence failed: {certificate.verdict}")
+        self.certificate = certificate
+
+    def to_dict(self) -> dict:
+        return {"error": str(self), "termination": self.certificate.to_dict()}
 
 
 def homotopy_basis(
@@ -511,41 +543,28 @@ def homotopy_basis(
     a convergent presentation.
 
     Termination evidence is a precondition: pass an interpretation for a
-    grid certificate, or set ``assume_terminating`` explicitly.
+    grid certificate, or set ``assume_terminating`` explicitly.  A failed
+    certificate raises :class:`CertificateFailedError`, and a branching that
+    does not close :class:`ConfluenceError`; both carry what failed.
     """
     if interp is not None:
-        report = check_decrease(p, interp)
-        if not report.passed:
-            raise CriticalError(
-                f"termination evidence failed: {report.verdict}"
-            )
+        certificate = check_decrease(p, interp)
+        if not certificate.passed:
+            raise CertificateFailedError(certificate)
     elif not assume_terminating:
         raise CriticalError(
             "homotopy_basis needs termination evidence: provide an "
             "interpretation or set assume_terminating=True"
         )
-    basis = []
-    failures = []
-    for b in enumerate_critical_branchings(p):
-        result = check_local_confluence(p, b, budget)
-        if isinstance(result, FailureReport):
-            failures.append(result)
-        else:
-            basis.append(result)
+    basis, failures = local_confluence(p, budget)
     if failures:
-        raise ConfluenceError(
-            f"{len(failures)} critical branching(s) are not locally confluent",
-            failures,
-        )
+        raise ConfluenceError(failures)
     return basis
 
 
 def export_identity_generators(basis: list[ConfluenceDiagram]) -> list[Trace]:
     """The closed traces ``s(γ) ⋆₂ t(γ)⁻`` of the basis 4-cells."""
-    out = []
-    for cd in basis:
-        out.append(compose_traces(cd.leg(1), invert_trace(cd.leg(2))))
-    return out
+    return [compose_traces(cd.leg(1), invert_trace(cd.leg(2))) for cd in basis]
 
 
 # -- the five-family classifier -------------------------------------------
@@ -599,6 +618,8 @@ class PipelineReport:
     fixed rule orientations.  Each forward failure is then searched for a
     join modulo the structural congruence: ``closures`` holds the
     confluence diagrams found, ``unclosed`` the failures without one.
+    ``ok`` holds when the branchings close, the termination evidence holds
+    and no discrepancy is flagged; the verdict names what failed.
     """
 
     polygraph: str
@@ -606,15 +627,15 @@ class PipelineReport:
     termination: CertificateReport | None
     termination_smoke: bool | None
     branchings: list[Branching]
-    confluent: bool
     failures: list[FailureReport]
-    closures: list[ConfluenceDiagram] = field(default_factory=list)
-    unclosed: list[FailureReport] = field(default_factory=list)
-    family_counts: dict = field(default_factory=dict)
-    proper_count: int | None = None
-    expected_proper_count: int | None = None
-    verdict: str = ""
-    discrepancy: bool = False
+    closures: list[ConfluenceDiagram]
+    unclosed: list[FailureReport]
+    family_counts: dict
+    proper_count: int | None
+    expected_proper_count: int | None
+    discrepancy: bool
+    verdict: str
+    ok: bool
 
     def to_dict(self) -> dict:
         return {
@@ -636,12 +657,12 @@ class PipelineReport:
         }
 
     @property
-    def confluent_modulo_structure(self) -> bool:
-        return not self.unclosed
+    def confluent(self) -> bool:
+        return not self.failures
 
     @property
-    def ok(self) -> bool:
-        return self.confluent and not self.discrepancy
+    def confluent_modulo_structure(self) -> bool:
+        return not self.unclosed
 
 
 def _smoke_terminates(p: Polygraph, budget: int) -> bool:
@@ -663,73 +684,56 @@ def asphericity_pipeline(
 ) -> PipelineReport:
     """Termination evidence, enumeration, local confluence, classification.
 
-    For a pro, a passing run yields the verdict "aspherical (by convergent
-    presentation)".  For a prop, the report lists the proper-branching basis
-    and the verdict is "aspherical modulo Tietze step": Tietze equivalence
-    of a declared 4-cell basis with the computed one is an obligation, not a
-    machine-checked fact.  When ``expected_proper`` is given and the count
-    differs, the report flags the discrepancy instead of absorbing it.
-    The verdict rests on forward local confluence; the modulo-structure
-    verdict (``confluent_modulo_structure``) is reported beside it.
+    Termination evidence is the grid certificate of ``interp``, or else a
+    budgeted smoke test.  When it holds and every branching closes, a pro
+    gets the verdict "aspherical (by convergent presentation)".  A prop's
+    report lists the proper-branching basis and the verdict is "aspherical
+    modulo Tietze step": Tietze equivalence of a declared 4-cell basis with
+    the computed one is an obligation, not a machine-checked fact.  When
+    ``expected_proper`` is given and the count differs, the report flags
+    the discrepancy instead of absorbing it, and the run is not ok.
+    Otherwise the verdict is "not established", with its reasons.  It rests
+    on forward local confluence; the modulo-structure verdict
+    (``confluent_modulo_structure``) is reported beside it.
     """
     termination = check_decrease(p, interp) if interp is not None else None
     smoke = None if interp is not None else _smoke_terminates(p, budget)
-    branchings = enumerate_critical_branchings(p)
-    failures = []
-    for b in branchings:
-        result = check_local_confluence(p, b, budget)
-        if isinstance(result, FailureReport):
-            failures.append(result)
-    confluent = not failures
-    closures, unclosed = [], []
-    for f in failures:
-        closure = close_modulo_structure(p, f)
-        if closure is None:
-            unclosed.append(f)
-        else:
-            closures.append(closure)
-    report = PipelineReport(
+    results, failures = local_confluence(p, budget)
+    joins = [close_modulo_structure(p, f) for f in failures]
+    counts = {}
+    if is_s_constructed(p):
+        tags = [classify_branching(p, r.branching) for r in results]
+        counts = {tag: tags.count(tag) for tag in FAMILY_TAGS}
+    proper = counts.get("proper")
+    discrepancy = proper is not None and expected_proper not in (None, proper)
+    reasons = []
+    if failures:
+        reasons.append(f"{len(failures)} branching(s) fail local confluence")
+    if not (termination.passed if termination else smoke):
+        reasons.append("termination certificate failed" if termination
+                       else "no termination evidence")
+    if reasons:
+        verdict = "not established (" + "; ".join(reasons) + ")"
+    elif proper is None:
+        verdict = "aspherical (by convergent presentation)"
+    else:
+        verdict = "aspherical modulo Tietze step"
+        if discrepancy:
+            verdict += (f" [DISCREPANCY: {proper} proper branchings, "
+                        f"expected {expected_proper}]")
+    return PipelineReport(
         polygraph=p.signature.name,
         is_prop=p.signature.is_prop,
         termination=termination,
         termination_smoke=smoke,
-        branchings=branchings,
-        confluent=confluent,
+        branchings=[r.branching for r in results],
         failures=failures,
-        closures=closures,
-        unclosed=unclosed,
+        closures=[c for c in joins if c is not None],
+        unclosed=[f for f, c in zip(failures, joins) if c is None],
+        family_counts=counts,
+        proper_count=proper,
+        expected_proper_count=expected_proper if proper is not None else None,
+        discrepancy=discrepancy,
+        verdict=verdict,
+        ok=not reasons and not discrepancy,
     )
-    terminating = termination.passed if termination else bool(smoke)
-    if is_s_constructed(p):
-        counts = {tag: 0 for tag in FAMILY_TAGS}
-        for b in branchings:
-            counts[classify_branching(p, b)] += 1
-        report.family_counts = counts
-        report.proper_count = counts["proper"]
-        report.expected_proper_count = expected_proper
-        if expected_proper is not None and counts["proper"] != expected_proper:
-            report.discrepancy = True
-        if confluent and terminating:
-            report.verdict = "aspherical modulo Tietze step"
-            if report.discrepancy:
-                report.verdict += (
-                    f" [DISCREPANCY: {counts['proper']} proper branchings, "
-                    f"expected {expected_proper}]"
-                )
-        else:
-            report.verdict = _not_established(failures, terminating)
-    else:
-        if confluent and terminating:
-            report.verdict = "aspherical (by convergent presentation)"
-        else:
-            report.verdict = _not_established(failures, terminating)
-    return report
-
-
-def _not_established(failures: list[FailureReport], terminating: bool) -> str:
-    reasons = []
-    if failures:
-        reasons.append(f"{len(failures)} branching(s) fail local confluence")
-    if not terminating:
-        reasons.append("no termination evidence")
-    return "not established (" + "; ".join(reasons) + ")"

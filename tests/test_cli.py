@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface: verbs, exit codes,
 formats, and file round-trips."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -263,6 +264,22 @@ class TestTermination:
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("d mu (i, j) = 0", "d entry for mu repeated on interpretation line 7"),
+        ("bound 3", "bound repeated on interpretation line 7"),
+        ("interp for Mon", "'interp for' repeated on interpretation line 7"),
+    ], ids=["entry", "bound", "name"])
+    def test_repeated_interp_line_exits_2(self, capsys, tmp_path, line,
+                                          message):
+        # Kept silently, the second ``d mu`` would fail the grid
+        # certificate (exit 1) and the second bound would run B=3.
+        interp = tmp_path / "twice.interp"
+        interp.write_text(MON_INTERP_TEXT + line + "\n")
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("termination", "--preset", "mon", "--bound", "1000000"),
         ("termination", "--preset", "mon", "--interp", "BIG"),
@@ -317,6 +334,66 @@ class TestHomotopyBasis:
         assert code == 1
         report = json.loads(out)
         assert len(report["failures"]) == 5
+
+
+class TestFailedTerminationEvidence:
+    """One polygraph whose grid certificate fails and whose smoke test
+    fails: ``r`` rewrites ``a`` to itself, so its weight cannot drop."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        poly = tmp_path / "loop.poly"
+        poly.write_text("gen a : 1 -> 1\nrule r : a => a\n")
+        interp = tmp_path / "loop.interp"
+        interp.write_text("X a (i) = i\nd a (i) = 1\nbound 2\n")
+        return ["--polygraph", str(poly)], ["--interp", str(interp)]
+
+    def test_termination_exits_1(self, capsys, files):
+        poly, interp = files
+        code, out, _ = run(capsys, "termination", *poly, *interp)
+        assert (code, out) == (
+            1, "grid certificate FAILED (evidence, not proof; B=2)\n")
+
+    def test_homotopy_basis_exits_1(self, capsys, files):
+        poly, interp = files
+        code, out, err = run(capsys, "homotopy-basis", *poly, *interp)
+        assert (code, out, err) == (
+            1, "no homotopy basis: termination evidence failed: grid "
+               "certificate FAILED (evidence, not proof; B=2)\n", "")
+        code, out, _ = run(capsys, "homotopy-basis", *poly, *interp,
+                           "--format", "json")
+        report = json.loads(out)
+        assert code == 1
+        assert set(report) == {"error", "termination"}
+        assert report["error"].startswith("termination evidence failed: ")
+        assert report["termination"]["passed"] is False
+        assert report["termination"]["rules"][0]["failing_tuple"] == [1]
+
+    def test_homotopy_basis_without_evidence_exits_2(self, capsys, files):
+        poly, _ = files
+        code, out, err = run(capsys, "homotopy-basis", *poly)
+        assert (code, out) == (2, "")
+        assert "needs termination evidence" in err
+
+    def test_info_with_certificate_exits_1(self, capsys, files):
+        poly, interp = files
+        code, out, _ = run(capsys, "info", *poly, *interp, "--format", "json")
+        report = json.loads(out)
+        assert code == 1
+        assert report["status"] == "failed"
+        assert report["confluent"] is True
+        assert report["termination"]["passed"] is False
+        assert report["verdict"] == (
+            "not established (termination certificate failed)")
+
+    def test_info_smoke_test_exits_1(self, capsys, files):
+        poly, _ = files
+        code, out, _ = run(capsys, "info", *poly, "--format", "json")
+        report = json.loads(out)
+        assert code == 1
+        assert report["status"] == "failed"
+        assert report["termination_smoke"] is False
+        assert report["verdict"] == "not established (no termination evidence)"
 
 
 class TestDecide:
@@ -493,3 +570,57 @@ class TestVerbFlags:
         for argv in commands:
             assert argv[0] == "polyrew"
             assert _build_parser().parse_args(argv[1:]).verb == argv[1]
+
+
+#: ``(exit code, SHA-256 of stdout)`` of the analysis verbs on every preset,
+#: in text and JSON.  ``homotopy-basis`` gets ``--assume-terminating`` on the
+#: presets without a built-in interpretation.
+GOLDEN_ANALYSIS = {
+    ("info", "as", "text"): (0, "c0846dd7230afb2c925496beb24a06273995bfdfcddad649484553284e24c5e1"),
+    ("info", "as", "json"): (0, "294538daac12c31c55aae08a2d7cb12dadc1f2e2215adb2a6f36a34876bb0508"),
+    ("info", "mon", "text"): (0, "11bdd04161f8dda4a0f701a55c7aa4923010cd965f50e203f96eecadf2d50b2f"),
+    ("info", "mon", "json"): (0, "eb9765d7af423f86646350e0b629363df6760890196eb054ba62de2004966fff"),
+    ("info", "sym", "text"): (1, "f460927dc8641c6c2e10c10e5143fb461863da566470f3347dd6e4caad836015"),
+    ("info", "sym", "json"): (1, "6a1141b90863a04937ed9089126dbf65d1d2a4246d8c6b0739d3cfd8402a6b65"),
+    ("info", "sym_prime", "text"): (1, "b8496d411f7df8e259e960db843cb0e640732a270f782fd919006d20561fbe9f"),
+    ("info", "sym_prime", "json"): (1, "b0663bcc796e6848e99b6d5cf7e10e59b31a3f1a99ba117e20548eda48c2caa6"),
+    ("info", "br", "text"): (1, "4fbbf4864bfbbbf55c74629012ec67cb63222c71a09a16529bbd53ff37b3f874"),
+    ("info", "br", "json"): (1, "abae787efb08a3092304286a411dcc803a434b875f3d0f7ca261094a13f4ade7"),
+    ("info", "perm", "text"): (0, "e61b590d58e2b4595357d6b0b909759800731f409c70914326f20ae81950861b"),
+    ("info", "perm", "json"): (0, "3fd0fba893e1b5cadcd3313ab7fa30ec21d0b12e5119b240a0639f2c4339b933"),
+    ("confluence", "as", "text"): (0, "4a344bf1a78e4b2650a89e7c996f7f7d521a96e8df89f72babbabffa1b8daf75"),
+    ("confluence", "as", "json"): (0, "61e72c29a00131853ba2247497b1294003391fa9adbe34a29e7ae2ec0acc469b"),
+    ("confluence", "mon", "text"): (0, "116274b173014cf64fbb5764bba9d8021cf96a0d6306a9ca937aec37156d16d8"),
+    ("confluence", "mon", "json"): (0, "22d78641b55162d65261ee5577201b1b856a67883f5f43215f64c495eac0a926"),
+    ("confluence", "sym", "text"): (1, "f0f6046fb9b7c003f2229aac0132287a73f70cf6578e3bc62be7e674b0505399"),
+    ("confluence", "sym", "json"): (1, "e720d1629ed7fb059ed43f1bd7e758a294ad09dae61182e3b60ed226ad7a2bbe"),
+    ("confluence", "sym_prime", "text"): (1, "492c1e800144c43591fc2865106188373373d273940679f494555276630ee0af"),
+    ("confluence", "sym_prime", "json"): (1, "390485bd1b0bbe64619fc386e31bd09cc8daebbea4a2e3f84f0577358e41b305"),
+    ("confluence", "br", "text"): (1, "f0f6046fb9b7c003f2229aac0132287a73f70cf6578e3bc62be7e674b0505399"),
+    ("confluence", "br", "json"): (1, "e720d1629ed7fb059ed43f1bd7e758a294ad09dae61182e3b60ed226ad7a2bbe"),
+    ("confluence", "perm", "text"): (0, "116274b173014cf64fbb5764bba9d8021cf96a0d6306a9ca937aec37156d16d8"),
+    ("confluence", "perm", "json"): (0, "9d4d0d9fac9c94abaa7a341e12588a97e2b56c515c296eaadb17c10a2e040b9b"),
+    ("homotopy-basis", "as", "text"): (0, "db70b04f453ea545819d5ef3f2601acb88b81de3b89b23a0a3de5920fbb96339"),
+    ("homotopy-basis", "as", "json"): (0, "a25b994ebbe382b922154379561c3323e0a3bc5f7a115ace7bed779499703e86"),
+    ("homotopy-basis", "mon", "text"): (0, "569a40500ce9843bbbac8d6ee1f9ddd77885be80e3da57fa265c3127b7aa3e2e"),
+    ("homotopy-basis", "mon", "json"): (0, "8da5ede61f58c25ceaa8ba60caac2013d7ff347a063cfb91dc5c3137d49f44a1"),
+    ("homotopy-basis", "sym", "text"): (1, "c656996b34159b75afe003dfd963c3646503e3b006cca109ad38bf5aa7964485"),
+    ("homotopy-basis", "sym", "json"): (1, "6c484b3b0b7983780fdbfedbfe5b4398db72068e1c2a444a28ce45d9d13babe2"),
+    ("homotopy-basis", "sym_prime", "text"): (1, "c656996b34159b75afe003dfd963c3646503e3b006cca109ad38bf5aa7964485"),
+    ("homotopy-basis", "sym_prime", "json"): (1, "9b6fe24b119e52ee0dd1c44655d80defd13e90841c4e818f250e6571a5890f83"),
+    ("homotopy-basis", "br", "text"): (1, "c656996b34159b75afe003dfd963c3646503e3b006cca109ad38bf5aa7964485"),
+    ("homotopy-basis", "br", "json"): (1, "6c484b3b0b7983780fdbfedbfe5b4398db72068e1c2a444a28ce45d9d13babe2"),
+    ("homotopy-basis", "perm", "text"): (0, "243874e66293b4c229c16fa82eac04af2a7fe7997302c0f1ec89ec6f39cbebcd"),
+    ("homotopy-basis", "perm", "json"): (0, "3f6576d08b1fed346774d412f8f64c9fa9ad2724d6b8dbb663ecc4ed29ff7ad8"),
+}
+
+
+@pytest.mark.parametrize("verb, preset, fmt", list(GOLDEN_ANALYSIS))
+def test_golden_analysis_output(capsys, verb, preset, fmt):
+    argv = [verb, "--preset", preset, "--format", fmt]
+    if verb == "homotopy-basis" and get_preset(preset).interp is None:
+        argv.append("--assume-terminating")
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN_ANALYSIS[(verb, preset, fmt)]

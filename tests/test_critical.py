@@ -50,6 +50,7 @@ from polyrew.rewrite import (
 )
 from polyrew.critical import (
     Branching,
+    CertificateFailedError,
     ConfluenceDiagram,
     ConfluenceError,
     CriticalError,
@@ -66,6 +67,7 @@ from polyrew.critical import (
     enumerate_critical_branchings,
     export_identity_generators,
     homotopy_basis,
+    local_confluence,
     s_construction,
     structural_rules,
     tau_block_left,
@@ -857,7 +859,24 @@ def non_confluent_toy(sig):
     )
 
 
+def alpha_reversed(mon):
+    """Mon's associativity alone, oriented the wrong way: one branching
+    that closes, and a grid certificate under mon's interpretation that
+    fails."""
+    alpha = mon.rule("alpha")
+    return Polygraph(mon.signature, (Rule("alpha_rev", alpha.rhs, alpha.lhs),))
+
+
 class TestLocalConfluence:
+    @pytest.mark.parametrize("confluent", [True, False])
+    def test_one_result_per_branching_in_order(self, mon, confluent):
+        p = mon if confluent else non_confluent_toy(mon.signature)
+        results, failures = local_confluence(p)
+        assert ([r.branching for r in results]
+                == enumerate_critical_branchings(p))
+        assert failures == [r for r in results if isinstance(r, FailureReport)]
+        assert bool(failures) is not confluent
+
     def test_as_completions(self, asp):
         (b,) = enumerate_critical_branchings(asp)
         result = check_local_confluence(asp, b)
@@ -947,6 +966,13 @@ class TestHomotopyBasis:
         )
         with pytest.raises(CriticalError, match="termination evidence"):
             homotopy_basis(p, interp=mon_interpretation())
+
+    def test_failed_certificate_carries_report(self, mon):
+        with pytest.raises(CertificateFailedError) as exc:
+            homotopy_basis(alpha_reversed(mon), interp=mon_interpretation())
+        assert not exc.value.certificate.passed
+        assert str(exc.value) == (
+            f"termination evidence failed: {exc.value.certificate.verdict}")
 
     def test_non_confluent_raises_with_failures(self, mon):
         p = non_confluent_toy(mon.signature)
@@ -1185,6 +1211,40 @@ class TestPipeline:
         assert report.discrepancy
         assert "not established" in report.verdict
         assert "local confluence" in report.verdict
+
+    def test_discrepancy_is_not_ok(self, s_empty):
+        # Every branching closes and the smoke test passes: only the
+        # flagged count keeps the run from passing.
+        expected = asphericity_pipeline(s_empty).proper_count + 1
+        report = asphericity_pipeline(s_empty, expected_proper=expected)
+        assert report.confluent and report.termination_smoke
+        assert report.discrepancy and not report.ok
+        assert report.verdict == (
+            f"aspherical modulo Tietze step [DISCREPANCY: {expected - 1} "
+            f"proper branchings, expected {expected}]")
+
+    def test_failed_certificate_is_not_ok(self, mon):
+        report = asphericity_pipeline(alpha_reversed(mon),
+                                      interp=mon_interpretation())
+        assert report.confluent and not report.ok
+        assert report.verdict == (
+            "not established (termination certificate failed)")
+        assert report.to_dict()["status"] == "failed"
+
+    def test_failed_smoke_test_is_not_ok(self):
+        r = parse_polygraph("gen a : 1 -> 1\nrule r : a => a\n")
+        report = asphericity_pipeline(r, budget=5)
+        assert report.termination_smoke is False
+        assert report.confluent and not report.ok
+        assert report.verdict == "not established (no termination evidence)"
+
+    def test_both_reasons(self, mon):
+        p = non_confluent_toy(mon.signature)
+        report = asphericity_pipeline(p, interp=mon_interpretation())
+        assert not report.termination.passed and report.failures
+        assert report.verdict == (
+            f"not established ({len(report.failures)} branching(s) fail "
+            "local confluence; termination certificate failed)")
 
     def test_report_json_round_trip(self, mon):
         report = asphericity_pipeline(mon, interp=mon_interpretation())
