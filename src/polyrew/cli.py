@@ -149,10 +149,13 @@ def _cmd_normalize(args):
 def _cmd_critical(args):
     p = _load_polygraph(args)
     branchings = enumerate_critical_branchings(p)
-    report = {"count": len(branchings),
-              "branchings": [b.to_dict() for b in branchings]}
+    report = {
+        "count": len(branchings),
+        "branchings": [b.to_dict() for b in branchings],
+    }
     lines = [f"{len(branchings)} critical branching(s)"]
-    lines += [f"  {b}" for b in branchings]
+    for b in branchings:
+        lines.append(f"  {b}")
     return 0, report, "\n".join(lines)
 
 
@@ -165,9 +168,13 @@ def _cmd_confluence(args):
         "results": [r.to_dict() for r in results],
         "failure_count": len(failures),
     }
-    closed = (f"{len(failures)} NOT" if failures else "all") + " locally confluent"
-    lines = [f"{len(results)} branching(s), {closed}"]
-    lines += [f"  FAIL {f.branching}" for f in failures]
+    lines = [
+        f"{len(results)} branching(s), "
+        + ("all locally confluent" if not failures
+           else f"{len(failures)} NOT locally confluent")
+    ]
+    for f in failures:
+        lines.append(f"  FAIL {f.branching}")
     return (0 if not failures else 1), report, "\n".join(lines)
 
 
@@ -187,13 +194,18 @@ def _cmd_homotopy_basis(args):
     p = _load_polygraph(args)
     interp = _load_interp(args, _load_preset(args))
     try:
-        basis = homotopy_basis(p, interp, budget=args.budget,
-                               assume_terminating=args.assume_terminating)
+        basis = homotopy_basis(
+            p,
+            interp=interp,
+            assume_terminating=args.assume_terminating,
+            budget=args.budget,
+        )
     except (CertificateFailedError, ConfluenceError) as exc:
         return 1, exc.to_dict(), f"no homotopy basis: {exc}"
     report = {"count": len(basis), "cells": [cd.to_dict() for cd in basis]}
     lines = [f"homotopy basis with {len(basis)} generating 4-cell(s)"]
-    lines += [f"  {cd.branching}" for cd in basis]
+    for cd in basis:
+        lines.append(f"  {cd.branching}")
     return 0, report, "\n".join(lines)
 
 
@@ -215,7 +227,12 @@ def _cmd_info(args):
     preset = _load_preset(args)
     interp = _load_interp(args, preset)
     expected = preset.expected_proper if preset else None
-    report = asphericity_pipeline(p, interp, expected, args.budget)
+    report = asphericity_pipeline(
+        p,
+        interp=interp,
+        expected_proper=expected,
+        budget=args.budget,
+    )
     lines = [
         f"polygraph {report.polygraph} "
         f"({'prop' if report.is_prop else 'pro'}, {len(p.rules)} rule(s))",

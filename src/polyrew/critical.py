@@ -564,7 +564,10 @@ def homotopy_basis(
 
 def export_identity_generators(basis: list[ConfluenceDiagram]) -> list[Trace]:
     """The closed traces ``s(γ) ⋆₂ t(γ)⁻`` of the basis 4-cells."""
-    return [compose_traces(cd.leg(1), invert_trace(cd.leg(2))) for cd in basis]
+    out = []
+    for cd in basis:
+        out.append(compose_traces(cd.leg(1), invert_trace(cd.leg(2))))
+    return out
 
 
 # -- the five-family classifier -------------------------------------------

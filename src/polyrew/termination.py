@@ -243,9 +243,6 @@ class Interpretation:
     #: ("X" or "d", name) -> length of the entry's declared variable list,
     #: for entries read from text
     declared: dict = field(default_factory=dict)
-    #: the error for the first X or d entry given twice in the text, raised
-    #: by ``check_covers`` once each entry's own faults are ruled out
-    repeated: str = ""
 
     def __post_init__(self) -> None:
         if self.grid_bound < 2:
@@ -289,8 +286,6 @@ class Interpretation:
                     f"an entry for {g.name} declares {count} variables, more "
                     f"than its arity {g.arity}"
                 )
-        if self.repeated:
-            raise TerminationError(self.repeated)
 
 
 def _walk(d: Diagram, inputs: list[int],
@@ -420,7 +415,7 @@ def parse_interpretation(text: str) -> tuple[str, Interpretation]:
     ``d <gen> (<vars>) = <expr>``; ``bound <B>``; ``#`` comments.  A
     variable list names each variable once; ``check_covers`` rejects a list
     longer than its generator's arity.  A second ``interp for`` or ``bound``
-    line is rejected here, a second X or d entry by ``check_covers``.
+    line, or a second X or d entry for one generator, is rejected.
     """
     name = ""
     x_entries: dict[str, tuple[MonotoneExpr, ...]] = {}
@@ -428,7 +423,6 @@ def parse_interpretation(text: str) -> tuple[str, Interpretation]:
     declared: dict[tuple[str, str], int] = {}
     bound = 4
     given: set[str] = set()
-    repeated = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -446,16 +440,16 @@ def parse_interpretation(text: str) -> tuple[str, Interpretation]:
         m = re.fullmatch(r"([Xd])\s+(\w+)\s*\(([^)]*)\)\s*=\s*(.*)", line)
         if m:
             kind, gen, vars_text, body = m.groups()
+            _once(given, f"{kind} entry for {gen}", lineno)
             variables = tuple(v.strip() for v in vars_text.split(",") if v.strip())
-            for i, v in enumerate(variables):
-                if v in variables[:i]:
+            seen: set[str] = set()
+            for v in variables:
+                if v in seen:
                     raise TerminationError(
                         f"variable {v!r} repeated in the {kind} entry for "
                         f"{gen} on interpretation line {lineno}"
                     )
-            if (kind, gen) in declared and not repeated:
-                repeated = (f"{kind} entry for {gen} repeated on "
-                            f"interpretation line {lineno}")
+                seen.add(v)
             declared[(kind, gen)] = len(variables)
             if kind == "X":
                 x_entries[gen] = tuple(_parse_sums(body, variables, True))
@@ -463,7 +457,7 @@ def parse_interpretation(text: str) -> tuple[str, Interpretation]:
                 d_entries[gen] = parse_expr(body, variables)
             continue
         raise TerminationError(f"cannot parse interpretation line {lineno}: {raw!r}")
-    return name, Interpretation(x_entries, d_entries, bound, declared, repeated)
+    return name, Interpretation(x_entries, d_entries, bound, declared)
 
 
 #: The interpretation that proves Mon₃ terminates: X(μ)(i,j)=i+j, X(η)=1,

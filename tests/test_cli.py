@@ -241,28 +241,41 @@ class TestTermination:
         ("X eta () = -1", "unexpected character '-' in expression"),
         ("X mu (i, j, k) = k", "an entry for mu reads more than 2 variable(s)"),
         ("X mu (i, i) = i + i",
-         "variable 'i' repeated in the X entry for mu on interpretation line 7"),
+         "variable 'i' repeated in the X entry for mu on interpretation line 2"),
         ("d mu (i, j, k) = i",
          "an entry for mu declares 3 variables, more than its arity 2"),
         ("X nu (i) = i", "an entry for nu names no generator of Mon"),
     ], ids=["negative", "variable-count", "repeated-variable", "long-variable-list",
             "unknown-generator"])
     def test_malformed_interp_exits_2(self, capsys, tmp_path, line, message):
-        # The line overrides mon's entry for the same generator, or adds one
+        # The line replaces mon's entry for the same generator, or adds one
         # for a generator mon lacks.  No file may pass or end in a
         # traceback: ``-1`` is not ``1``, ``mu`` has two variables, not
         # three, ``(i, i)`` does not say which input ``i`` reads, and ``nu``
         # is likely a misspelt ``mu``.
+        kind, gen = line.split()[:2]
+        lines = [ln for ln in MON_INTERP_TEXT.splitlines()
+                 if ln.split()[:2] != [kind, gen]]
+        lines.insert(1, line)
         interp = tmp_path / "bad.interp"
-        interp.write_text(
-            "interp for Mon\n"
-            "X mu (i, j) = i + j\nd mu (i, j) = i\n"
-            f"X eta () = 1\nd eta () = 0\nbound 4\n{line}\n"
-        )
+        interp.write_text("\n".join(lines) + "\n")
         code, out, err = run(
             capsys, "termination", "--preset", "mon", "--interp", str(interp)
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_long_variable_list_exits_2(self, capsys, tmp_path):
+        # 200,000 distinct names: the duplicate check is one pass, so the
+        # list reaches the arity check at once.
+        names = ", ".join(f"v{k}" for k in range(200_000))
+        interp = tmp_path / "long.interp"
+        interp.write_text(
+            MON_INTERP_TEXT.replace("d mu (i, j) = i", f"d mu ({names}) = v0"))
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp)
+        )
+        assert (code, out, err) == (2, "", "error: an entry for mu declares "
+                                    "200000 variables, more than its arity 2\n")
 
     @pytest.mark.parametrize("line, message", [
         ("d mu (i, j) = 0", "d entry for mu repeated on interpretation line 7"),

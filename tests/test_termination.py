@@ -196,46 +196,38 @@ class TestFormat:
             parse_interpretation("d g (j, k, j) = k\n")
 
     def test_variable_list_longer_than_arity(self, mon_polygraph):
-        text = MON_INTERP_TEXT + "d mu (i, j, k) = i\n"
+        text = MON_INTERP_TEXT.replace("d mu (i, j) = i", "d mu (i, j, k) = i")
         _, interp = parse_interpretation(text)
         with pytest.raises(TerminationError,
                            match="an entry for mu declares 3 variables, more "
                                  "than its arity 2"):
             check_decrease(mon_polygraph, interp)
-        # A later entry for the same generator does not replace the long
-        # one: the second entry for ``d mu`` (line 7) is refused.
-        _, interp = parse_interpretation(text + "d mu (i, j) = i\n")
+        # A later entry for the same generator cannot replace the long one:
+        # the second ``d mu`` line (line 7) is refused.
         with pytest.raises(TerminationError,
                            match="d entry for mu repeated on interpretation "
                                  "line 7"):
-            check_decrease(mon_polygraph, interp)
+            parse_interpretation(text + "d mu (i, j) = i\n")
         # A shorter list leaves the trailing inputs unread.
         _, interp = parse_interpretation(
             MON_INTERP_TEXT.replace("d mu (i, j) = i", "d mu (i) = i"))
         assert check_decrease(mon_polygraph, interp).passed
 
-    @pytest.mark.parametrize("line, message", [
-        ("d mu (i, j) = 0", "d entry for mu repeated on interpretation line 7"),
-        ("X eta () = 2", "X entry for eta repeated on interpretation line 7"),
-    ])
-    def test_repeated_entry_refused(self, mon_polygraph, line, message):
-        # Either line would otherwise replace mon's entry silently.
-        _, interp = parse_interpretation(MON_INTERP_TEXT + line + "\n")
-        with pytest.raises(TerminationError, match=message):
-            check_decrease(mon_polygraph, interp)
-
-    def test_first_repeat_is_named(self, mon_polygraph):
-        text = MON_INTERP_TEXT + "X eta () = 2\nd mu (i, j) = i\n"
-        _, interp = parse_interpretation(text)
-        with pytest.raises(TerminationError, match="X entry for eta .* line 7"):
-            check_decrease(mon_polygraph, interp)
-
     @pytest.mark.parametrize("text, message", [
+        (MON_INTERP_TEXT + "d mu (i, j) = 0\n",
+         "d entry for mu repeated on interpretation line 7"),
+        (MON_INTERP_TEXT + "X eta () = 2\nd mu (i, j) = i\n",
+         "X entry for eta repeated on interpretation line 7"),
+        (MON_INTERP_TEXT + "X mu (i, i) = i\n",
+         "X entry for mu repeated on interpretation line 7"),
         ("bound 4\nbound 3\n", "bound repeated on interpretation line 2"),
         ("interp for Mon\n# As\ninterp for As\n",
          "'interp for' repeated on interpretation line 3"),
-    ], ids=["bound", "name"])
-    def test_repeated_bound_or_name_refused(self, text, message):
+    ], ids=["d-entry", "first-repeat", "before-own-faults", "bound", "name"])
+    def test_repeated_line_refused(self, text, message):
+        # Kept silently, the second line would replace the first: the
+        # second ``d mu`` would fail mon's certificate, the second bound
+        # would run B=3.
         with pytest.raises(TerminationError, match=message):
             parse_interpretation(text)
 
