@@ -36,8 +36,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from .diagram import PolyrewError
 
-class BraidError(Exception):
+
+class BraidError(PolyrewError):
     """Raised for malformed braid words or mismatched strand counts."""
 
 
@@ -52,8 +54,8 @@ class BraidWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise BraidError("strand count must be at least 1")
+        if self.n < 0:
+            raise BraidError("strand count must be a natural")
         object.__setattr__(self, "letters", tuple(self.letters))
         for i, sign in self.letters:
             if not 1 <= i <= self.n - 1:

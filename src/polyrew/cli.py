@@ -4,12 +4,11 @@
 accepts only those flags, plus ``--format`` (text or JSON) and ``--out``.  A
 polygraph comes from a compiled-in preset (``--preset``) or, where the verb
 reads it, a file (``--polygraph``).  Exit codes: 0 = success/Equal, 1 =
-the analysis found a failure (non-confluence, failed termination evidence,
-NotEqual/NotParallel), 2 = input error, including input too large to process
-(``RecursionError``, ``MemoryError`` or ``OverflowError``), a negative
-``--budget`` and a flag the verb does not read.  A failed grid certificate
-exits 1 from ``termination``, ``homotopy-basis`` and ``info``, a failed smoke
-test 1 from ``info``; ``homotopy-basis`` given no evidence at all exits 2.
+the analysis found a failure (non-confluence, a failed grid certificate,
+NotEqual/NotParallel), 2 = input error: any ``PolyrewError``, such as an
+exhausted ``--budget`` in any verb (``info``'s smoke test included), input
+too large to process (``RecursionError``, ``MemoryError`` or
+``OverflowError``), a negative ``--budget`` or a flag the verb does not read.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import json
 import sys
 
 from .coherence import (
-    CoherenceError,
     PRESET_NAMES,
     Preset,
     decide_coherence,
@@ -30,27 +28,25 @@ from .coherence import (
 from .critical import (
     CertificateFailedError,
     ConfluenceError,
-    CriticalError,
     asphericity_pipeline,
     enumerate_critical_branchings,
     homotopy_basis,
     local_confluence,
 )
-from .diagram import DiagramError, canonical_form, parse_diagram, print_diagram
+from .diagram import PolyrewError, canonical_form, parse_diagram, print_diagram
 from .rewrite import (
     DEFAULT_BUDGET,
     Polygraph,
-    RewriteError,
     normalize,
     parse_polygraph,
     parse_trace,
     print_polygraph,
     print_trace,
 )
-from .termination import TerminationError, check_decrease, parse_interpretation
+from .termination import check_decrease, parse_interpretation
 
 
-class InputError(Exception):
+class InputError(PolyrewError):
     """Bad command-line input; maps to exit code 2."""
 
 
@@ -286,14 +282,7 @@ def main(argv=None) -> int:
         code, report, text = _VERBS[args.verb][0](args)
         _emit(args, report, text)
         return code
-    except (
-        InputError,
-        DiagramError,
-        RewriteError,
-        TerminationError,
-        CriticalError,
-        CoherenceError,
-    ) as exc:
+    except PolyrewError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (RecursionError, MemoryError, OverflowError) as exc:

@@ -24,6 +24,7 @@ from .critical import s_construction, structural_rules
 from .diagram import (
     Diagram,
     GeneratorSym,
+    PolyrewError,
     Signature,
     Slice,
     TAU,
@@ -47,7 +48,7 @@ from .rewrite import (
 from .termination import Interpretation, as_interpretation, mon_interpretation
 
 
-class CoherenceError(Exception):
+class CoherenceError(PolyrewError):
     """Raised for invalid inputs to the coherence machinery."""
 
 

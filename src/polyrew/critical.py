@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .diagram import (
     Diagram,
     DiagramError,
+    PolyrewError,
     Signature,
     Slice,
     TAU,
@@ -45,7 +46,6 @@ from .diagram import (
 )
 from .rewrite import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     Polygraph,
     Rule,
     Step,
@@ -59,7 +59,7 @@ from .rewrite import (
 from .termination import CertificateReport, Interpretation, check_decrease
 
 
-class CriticalError(Exception):
+class CriticalError(PolyrewError):
     """Raised for invalid inputs to the critical-branching machinery."""
 
 
@@ -628,7 +628,6 @@ class PipelineReport:
     polygraph: str
     is_prop: bool
     termination: CertificateReport | None
-    termination_smoke: bool | None
     branchings: list[Branching]
     failures: list[FailureReport]
     closures: list[ConfluenceDiagram]
@@ -660,6 +659,11 @@ class PipelineReport:
         }
 
     @property
+    def termination_smoke(self) -> bool | None:
+        """True without a certificate, since a failed smoke test raises."""
+        return True if self.termination is None else None
+
+    @property
     def confluent(self) -> bool:
         return not self.failures
 
@@ -668,15 +672,12 @@ class PipelineReport:
         return not self.unclosed
 
 
-def _smoke_terminates(p: Polygraph, budget: int) -> bool:
-    """Budgeted-normalization smoke test: every rule side normalizes."""
-    try:
-        for r in p.rules:
-            normalize(r.lhs, p, budget)
-            normalize(r.rhs, p, budget)
-    except BudgetExceededError:
-        return False
-    return True
+def _smoke_terminates(p: Polygraph, budget: int) -> None:
+    """Budgeted-normalization smoke test: normalize every rule side, which
+    raises ``BudgetExceededError`` on running out, as it does anywhere."""
+    for r in p.rules:
+        normalize(r.lhs, p, budget)
+        normalize(r.rhs, p, budget)
 
 
 def asphericity_pipeline(
@@ -688,19 +689,21 @@ def asphericity_pipeline(
     """Termination evidence, enumeration, local confluence, classification.
 
     Termination evidence is the grid certificate of ``interp``, or else a
-    budgeted smoke test.  When it holds and every branching closes, a pro
-    gets the verdict "aspherical (by convergent presentation)".  A prop's
-    report lists the proper-branching basis and the verdict is "aspherical
-    modulo Tietze step": Tietze equivalence of a declared 4-cell basis with
-    the computed one is an obligation, not a machine-checked fact.  When
-    ``expected_proper`` is given and the count differs, the report flags
-    the discrepancy instead of absorbing it, and the run is not ok.
-    Otherwise the verdict is "not established", with its reasons.  It rests
-    on forward local confluence; the modulo-structure verdict
-    (``confluent_modulo_structure``) is reported beside it.
+    budgeted smoke test.  Running out of budget there, as in the confluence
+    pass, raises ``BudgetExceededError``.  When the evidence holds and every
+    branching closes, a pro gets the verdict "aspherical (by convergent
+    presentation)".  A prop's report lists the proper-branching basis and
+    the verdict is "aspherical modulo Tietze step": Tietze equivalence of a
+    declared 4-cell basis with the computed one is an obligation, not a
+    machine-checked fact.  When ``expected_proper`` is given and the count
+    differs, the report flags the discrepancy instead of absorbing it, and
+    the run is not ok.  Otherwise the verdict is "not established", with
+    its reasons.  It rests on forward local confluence; the modulo-structure
+    verdict (``confluent_modulo_structure``) is reported beside it.
     """
     termination = check_decrease(p, interp) if interp is not None else None
-    smoke = None if interp is not None else _smoke_terminates(p, budget)
+    if interp is None:
+        _smoke_terminates(p, budget)
     results, failures = local_confluence(p, budget)
     joins = [close_modulo_structure(p, f) for f in failures]
     counts = {}
@@ -712,9 +715,8 @@ def asphericity_pipeline(
     reasons = []
     if failures:
         reasons.append(f"{len(failures)} branching(s) fail local confluence")
-    if not (termination.passed if termination else smoke):
-        reasons.append("termination certificate failed" if termination
-                       else "no termination evidence")
+    if termination is not None and not termination.passed:
+        reasons.append("termination certificate failed")
     if reasons:
         verdict = "not established (" + "; ".join(reasons) + ")"
     elif proper is None:
@@ -728,7 +730,6 @@ def asphericity_pipeline(
         polygraph=p.signature.name,
         is_prop=p.signature.is_prop,
         termination=termination,
-        termination_smoke=smoke,
         branchings=[r.branching for r in results],
         failures=failures,
         closures=[c for c in joins if c is not None],

@@ -41,7 +41,11 @@ from functools import lru_cache
 from typing import Iterator
 
 
-class DiagramError(Exception):
+class PolyrewError(Exception):
+    """The base of every error polyrew raises; the CLI maps it to exit 2."""
+
+
+class DiagramError(PolyrewError):
     """Raised for ill-formed diagrams or failed compositions."""
 
 

@@ -39,6 +39,7 @@ from typing import Callable
 from .diagram import (
     Diagram,
     GeneratorSym,
+    PolyrewError,
     Signature,
     _lex_min,
     _restrict,
@@ -53,7 +54,7 @@ from .diagram import (
 )
 
 
-class RewriteError(Exception):
+class RewriteError(PolyrewError):
     """Base for rewriting errors."""
 
 

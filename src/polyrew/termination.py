@@ -24,11 +24,11 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, Signature
+from .diagram import Diagram, PolyrewError, Signature
 from .rewrite import Polygraph
 
 
-class TerminationError(Exception):
+class TerminationError(PolyrewError):
     """Raised for malformed interpretations or evaluation errors."""
 
 

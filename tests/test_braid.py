@@ -52,6 +52,18 @@ class TestBasics:
         with pytest.raises(BraidError):
             word(2, (2, 1))
 
+    def test_zero_strands(self):
+        # The braid group on 0 strands is trivial: only the empty word.
+        e = BraidWord(0)
+        assert is_trivial(e) and braid_equal(e, braid_inverse(e))
+        assert garside_nf(e) == garside_nf(braid_concat(e, e))
+        assert perm_of_braid(e) == ()
+        for bad in ((0, 1), (1, 1)):
+            with pytest.raises(BraidError):
+                word(0, bad)
+        with pytest.raises(BraidError):
+            BraidWord(-1)
+
 
 class TestPermutation:
     def test_sigma1(self):

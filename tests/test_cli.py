@@ -4,10 +4,12 @@ formats, and file round-trips."""
 import hashlib
 import json
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import polyrew
 from polyrew.cli import _build_parser, main
 from polyrew.rewrite import (
     parse_polygraph,
@@ -350,8 +352,9 @@ class TestHomotopyBasis:
 
 
 class TestFailedTerminationEvidence:
-    """One polygraph whose grid certificate fails and whose smoke test
-    fails: ``r`` rewrites ``a`` to itself, so its weight cannot drop."""
+    """One polygraph whose grid certificate fails and whose smoke test runs
+    out of budget: ``r`` rewrites ``a`` to itself, so its weight cannot
+    drop and its normalization never ends."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -399,14 +402,45 @@ class TestFailedTerminationEvidence:
         assert report["verdict"] == (
             "not established (termination certificate failed)")
 
-    def test_info_smoke_test_exits_1(self, capsys, files):
+    def test_info_smoke_test_exits_2(self, capsys, files):
         poly, _ = files
-        code, out, _ = run(capsys, "info", *poly, "--format", "json")
-        report = json.loads(out)
-        assert code == 1
-        assert report["status"] == "failed"
-        assert report["termination_smoke"] is False
-        assert report["verdict"] == "not established (no termination evidence)"
+        code, out, err = run(capsys, "info", *poly, "--format", "json")
+        assert (code, out, err) == (2, "", budget_message(10000))
+
+
+def budget_message(n):
+    return (f"error: normalization exceeded budget of {n} steps "
+            "(nontermination suspected)\n")
+
+
+class TestBudgetExhausted:
+    """Running out of ``--budget`` exits 2 with one message from every verb,
+    in the smoke test of ``info`` as in any confluence pass."""
+
+    @pytest.mark.parametrize("argv, budget", [
+        ("info --polygraph {loop}", 10000),
+        ("info --polygraph {loop} --budget 5", 5),
+        ("info --preset sym --budget 1", 1),
+        ("confluence --preset sym --budget 1", 1),
+        ("homotopy-basis --preset mon --budget 1", 1),
+        ("normalize --polygraph {loop} --expr a --budget 3", 3),
+    ])
+    def test_exits_2(self, capsys, tmp_path, argv, budget):
+        loop = tmp_path / "loop.poly"
+        loop.write_text("gen a : 1 -> 1\nrule r : a => a\n")
+        argv = shlex.split(argv.format(loop=loop))
+        assert run(capsys, *argv) == (2, "", budget_message(budget))
+
+    def test_every_library_error_is_mapped(self):
+        # ``main`` maps one base class to exit 2, so every error class
+        # defined in the package, the CLI's own included, must derive from it.
+        modules = [m for m in vars(polyrew).values()
+                   if isinstance(m, types.ModuleType)]
+        errors = {v for m in modules for v in vars(m).values()
+                  if isinstance(v, type) and issubclass(v, Exception)
+                  and v.__module__.startswith("polyrew.")}
+        assert len(errors) == 12
+        assert all(issubclass(e, polyrew.PolyrewError) for e in errors)
 
 
 class TestDecide:
@@ -481,6 +515,16 @@ class TestDecide:
         assert diagram_equal(back.source, l1.source)
         assert len(back.steps) == len(l1.steps)
         assert diagram_equal(back.target(), l1.target())
+
+    @pytest.mark.parametrize("source", ["eta", "id 0"])
+    def test_zero_strand_traces_equal(self, capsys, tmp_path, source):
+        # An empty trace over a source with no input wires has a braid on 0
+        # strands: the trivial group, not a traceback.
+        path = tmp_path / "empty.tr"
+        path.write_text(f"trace a on {source}\n")
+        code, out, err = run(capsys, "decide", "--preset", "br",
+                             "--trace", str(path), "--trace", str(path))
+        assert (code, out, err) == (0, "Equal\n", "")
 
 
 class TestInfo:

@@ -58,6 +58,8 @@ from polyrew.rewrite import (
     validate_trace,
 )
 
+from test_critical import all_diagrams
+
 
 BR = get_preset("br")
 SIG = BR.polygraph.signature
@@ -601,3 +603,25 @@ class TestStructuralNormalFormMemo:
                     structural_normal_form(d, p)
         assert structural_normal_form(d, p) == \
             uncached_structural_normal_form(d, p)
+
+
+class TestAlgebraicKey:
+    @pytest.mark.parametrize("name, max_slices, max_width, size, classes", [
+        ("sym", 4, 3, 723, 285),
+        ("sym_prime", 4, 3, 723, 285),
+        ("br", 4, 3, 723, 285),
+        ("perm", 5, 4, 303, 33),
+    ])
+    def test_same_classes_as_structural_normal_form(
+            self, name, max_slices, max_width, size, classes):
+        """``(input_width, decompose_algebraic(d))`` puts two diagrams in
+        one class exactly when their structural normal forms are equal:
+        equal keys imply equal forms, and equal forms imply equal keys."""
+        p = get_preset(name).polygraph
+        diagrams = all_diagrams(p.signature, max_slices, max_width)
+        pairs = {((d.input_width, decompose_algebraic(d)),
+                  structural_normal_form(d, p)) for d in diagrams}
+        keys = {k for k, _ in pairs}
+        forms = {f for _, f in pairs}
+        assert len(keys) == len(forms) == len(pairs)
+        assert (len(diagrams), len(pairs)) == (size, classes)

@@ -39,6 +39,7 @@ from polyrew.diagram import (
     vcomp,
 )
 from polyrew.rewrite import (
+    BudgetExceededError,
     Polygraph,
     RewriteError,
     Rule,
@@ -1231,12 +1232,12 @@ class TestPipeline:
             "not established (termination certificate failed)")
         assert report.to_dict()["status"] == "failed"
 
-    def test_failed_smoke_test_is_not_ok(self):
+    def test_failed_smoke_test_raises(self):
+        # Running out of budget in the smoke test is no verdict: it raises,
+        # as it does in the confluence pass.
         r = parse_polygraph("gen a : 1 -> 1\nrule r : a => a\n")
-        report = asphericity_pipeline(r, budget=5)
-        assert report.termination_smoke is False
-        assert report.confluent and not report.ok
-        assert report.verdict == "not established (no termination evidence)"
+        with pytest.raises(BudgetExceededError, match="budget of 5 steps"):
+            asphericity_pipeline(r, budget=5)
 
     def test_both_reasons(self, mon):
         p = non_confluent_toy(mon.signature)
