@@ -28,6 +28,12 @@ first, and ``diagram_equal`` calls the two different.  ``exchange_closure``
 computes the full class by brute force; it serves as the correctness oracle
 for the canonical form and as the completeness backbone of pattern matching.
 
+Generators are interned: one ``GeneratorSym`` exists per ``(name, arity,
+coarity)``, kept in a plain dict that grows only with the distinct
+declarations a process reads.  A slice is a named ``(offset, gen)`` pair.
+So hashing or comparing a diagram, which every memo and canonical-form
+lookup does, runs one Python frame and leaves the rest to C.
+
 Conventions: offsets are 0-based internally, wires are numbered from the left,
 and ``;`` in the textual grammar is vertical composition read top to bottom.
 """
@@ -36,9 +42,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class PolyrewError(Exception):
@@ -53,21 +59,55 @@ class ParseError(DiagramError):
     """Raised on syntax errors in the diagram expression grammar."""
 
 
-@dataclass(frozen=True)
+#: Every generator built so far, keyed by ``(name, arity, coarity)``.  A
+#: plain dict: it holds one entry per distinct declaration the process has
+#: read, and signatures are small.
+_GENERATORS: dict[tuple[str, int, int], "GeneratorSym"] = {}
+
+
 class GeneratorSym:
-    """A generating 2-cell ``name : arity => coarity`` of the signature."""
+    """A generating 2-cell ``name : arity => coarity`` of the signature.
 
-    name: str
-    arity: int
-    coarity: int
+    Interned: one object exists per ``(name, arity, coarity)``, so two
+    generators are equal exactly when they are the same object, and
+    equality and hashing are the identity operations of ``object``, done in
+    C.  The checks run before a new generator enters the table, so a
+    failed construction leaves nothing behind.  Instances are immutable;
+    copying or unpickling one returns the interned object.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise DiagramError("generator name must be nonempty")
-        if self.arity < 0 or self.coarity < 0:
-            raise DiagramError("arity and coarity must be naturals")
-        if self.name == "tau" and (self.arity, self.coarity) != (2, 2):
-            raise DiagramError("'tau' is reserved for the symmetry (2 => 2)")
+    __slots__ = ("name", "arity", "coarity")
+
+    def __new__(cls, name: str, arity: int, coarity: int) -> "GeneratorSym":
+        key = name, arity, coarity
+        g = _GENERATORS.get(key)
+        if g is None:
+            if not name:
+                raise DiagramError("generator name must be nonempty")
+            if arity < 0 or coarity < 0:
+                raise DiagramError("arity and coarity must be naturals")
+            if name == "tau" and (arity, coarity) != (2, 2):
+                raise DiagramError("'tau' is reserved for the symmetry (2 => 2)")
+            g = object.__new__(cls)
+            for field, value in zip(cls.__slots__, key):
+                object.__setattr__(g, field, value)
+            # One atomic step, so two threads building the same generator
+            # still get one object.
+            g = _GENERATORS.setdefault(key, g)
+        return g
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GeneratorSym, (self.name, self.arity, self.coarity)
+
+    def __repr__(self) -> str:
+        return (f"GeneratorSym(name={self.name!r}, arity={self.arity!r}, "
+                f"coarity={self.coarity!r})")
 
     def __str__(self) -> str:
         return f"{self.name} : {self.arity} -> {self.coarity}"
@@ -115,16 +155,33 @@ class Signature:
         return name in self._by_name
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One whiskered generator: ``offset`` identity wires, then ``gen``."""
-
+class _SliceFields(NamedTuple):
     offset: int
     gen: GeneratorSym
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
+
+class Slice(_SliceFields):
+    """One whiskered generator: ``offset`` identity wires, then ``gen``.
+
+    A named pair, so hashing and comparing slices (and the diagrams that
+    hold them) runs in C.  Every way of building one, ``_make`` and
+    ``_replace`` included, checks that the offset is a natural.  As a
+    tuple, a slice equals the plain pair ``(offset, gen)`` and orders as
+    one: slices sort by offset, and two with equal offsets and different
+    generators raise ``TypeError`` when ordered, since generators have no
+    order.  Code that wants an order on slices uses ``(offset, gen.name)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, offset: int, gen: GeneratorSym) -> "Slice":
+        if offset < 0:
             raise DiagramError("slice offset must be a natural")
+        return tuple.__new__(cls, (offset, gen))
+
+    @classmethod
+    def _make(cls, iterable) -> "Slice":
+        return cls(*iterable)
 
     def shifted(self, delta: int) -> "Slice":
         return Slice(self.offset + delta, self.gen)

@@ -118,7 +118,8 @@ class Polygraph:
 
     def __hash__(self) -> int:
         # Cached: memos keyed on a polygraph hash it on every lookup, and
-        # the rules' diagrams hash recursively.
+        # the signature and each rule hash in a Python frame of their own
+        # (a rule's diagrams add two more).
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.signature, self.rules))

@@ -1,5 +1,7 @@
 """Tests for the diagram data model, exchange canonical form, and the grammar."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -106,6 +108,92 @@ class TestConstruction:
     def test_hcomp_identity0_unit(self, mon_sig):
         d = parse_diagram("(mu * id 1) ; mu", mon_sig)
         assert d.hcomp(identity(0)) == d
+
+
+class TestGeneratorSym:
+    """Generators are interned on ``(name, arity, coarity)``."""
+
+    @pytest.mark.parametrize("args", [("", 1, 1), ("g", -1, 1), ("g", 1, -1),
+                                      ("tau", 1, 1)])
+    def test_invalid_raises_and_is_not_interned(self, args):
+        for _ in range(2):
+            with pytest.raises(DiagramError):
+                GeneratorSym(*args)
+        assert args not in diagram_module._GENERATORS
+
+    def test_one_object_per_declaration(self):
+        assert GeneratorSym("mu", 2, 1) is get_preset("mon").polygraph.signature.lookup("mu")
+        assert GeneratorSym(name="mu", arity=2, coarity=1) is MU
+        assert GeneratorSym("mu", 2, 2) is not MU
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            MU.name = "nu"
+        with pytest.raises(AttributeError):
+            MU.arity = 3
+        with pytest.raises(AttributeError):
+            del MU.coarity
+        assert (MU.name, MU.arity, MU.coarity) == ("mu", 2, 1)
+
+    def test_copy_and_pickle_return_the_interned_object(self):
+        assert copy.copy(MU) is MU
+        assert copy.deepcopy(MU) is MU
+        assert pickle.loads(pickle.dumps(MU)) is MU
+        d = Diagram(3, (Slice(0, MU), Slice(0, MU)))
+        assert pickle.loads(pickle.dumps(d)).slices[1].gen is MU
+        assert copy.deepcopy(d) == d
+
+    def test_pinned_text(self):
+        assert repr(MU) == "GeneratorSym(name='mu', arity=2, coarity=1)"
+        assert str(MU) == "mu : 2 -> 1"
+
+
+class TestSlice:
+    """``Slice`` is a named ``(offset, gen)`` pair with a checked offset."""
+
+    def test_negative_offset_raises_on_every_path(self):
+        s = Slice(0, MU)
+        for build in (lambda: Slice(-1, MU),
+                      lambda: Slice(offset=-1, gen=MU),
+                      lambda: s.shifted(-1),
+                      lambda: Slice._make((-1, MU)),
+                      lambda: s._replace(offset=-1)):
+            with pytest.raises(DiagramError, match="offset must be a natural"):
+                build()
+
+    def test_make_and_replace_build_slices(self):
+        s = Slice._make((1, MU))
+        assert type(s) is Slice and s == Slice(1, MU)
+        assert type(s._replace(gen=ETA)) is Slice
+        assert s._replace(gen=ETA) == Slice(1, ETA)
+        with pytest.raises(TypeError):
+            Slice._make((1, MU, 2))
+
+    def test_copy_and_pickle(self):
+        s = Slice(1, MU)
+        for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(t) is Slice and t == s and t.gen is MU
+
+    def test_tuple_semantics(self):
+        # A slice is a tuple: it equals, and hashes like, the plain pair.
+        s = Slice(1, MU)
+        assert s == (1, MU) and hash(s) == hash((1, MU))
+        assert {s: 0}[(1, MU)] == 0
+        assert s.offset == s[0] == 1 and s.gen is s[1] is MU
+        # It orders as a pair: by offset, then by generator, which has no
+        # order, so equal offsets with different generators raise.
+        assert sorted([Slice(2, ETA), Slice(0, MU)]) == [Slice(0, MU), Slice(2, ETA)]
+        assert not Slice(1, MU) < Slice(1, MU)
+        with pytest.raises(TypeError):
+            Slice(1, MU) < Slice(1, ETA)  # noqa: B015
+
+    def test_pinned_text(self):
+        assert repr(Slice(1, MU)) == (
+            "Slice(offset=1, gen=GeneratorSym(name='mu', arity=2, coarity=1))")
+        assert repr(Diagram(3, (Slice(1, MU), Slice(0, ETA)))) == (
+            "Diagram(input_width=3, slices=("
+            "Slice(offset=1, gen=GeneratorSym(name='mu', arity=2, coarity=1)), "
+            "Slice(offset=0, gen=GeneratorSym(name='eta', arity=0, coarity=1))))")
 
 
 def pairwise_hcomp(ds):
