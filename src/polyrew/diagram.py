@@ -12,10 +12,10 @@ One exchange state, ``_Branch``, serves every walk of a class: it keeps each
 unemitted slice's upward walk between emissions, and an emission redoes only
 the walks it can change.  ``canonical_form`` picks a unique representative of
 each class, the left-greedy (lexicographically least) slice sequence, in one
-loop that emits the least front and keeps every branch that ties, so a comb
-of n slices costs n - 1 exchange tests; ``_cuts`` and ``_blocks``, the cut
-walks of critical-branching enumeration, search breadth-first over the same
-states.  Given a *window* of slices, the same loop gives the least
+loop that emits the least front and keeps one tied branch per remainder,
+so a comb of n slices costs n - 1 exchange tests; ``_cuts`` and ``_blocks``,
+the cut walks of critical-branching enumeration, search breadth-first over
+the same states.  Given a *window* of slices, the same loop gives the least
 representative that emits them consecutively, in order; matching builds a
 context that way when it found the match on one wire-connected component,
 which ``_restrict`` cuts out of the diagram.  ``diagram_equal`` compares
@@ -279,41 +279,29 @@ def hcomp(*ds: Diagram) -> Diagram:
 # -- exchange -------------------------------------------------------------
 
 
-def _commute(a: Slice, b: Slice) -> bool:
-    """Whether adjacent slices ``a`` then ``b`` have disjoint supports.
-
-    ``b``'s input interval (in the wire coordinates between the two slices)
-    must lie entirely left of ``a``'s output interval, or entirely right of
-    it.  A zero-arity slice has a zero-width input interval; sitting at
-    either edge of ``a``'s outputs counts as disjoint, strictly inside does
-    not.
-    """
-    return b.offset + b.gen.arity <= a.offset or b.offset >= a.offset + a.gen.coarity
-
-
-def _swap(a: Slice, b: Slice) -> tuple[Slice, Slice]:
-    """Exchange commuting adjacent slices ``a`` then ``b`` into ``b'`` then ``a'``."""
-    if b.offset + b.gen.arity <= a.offset:
-        # b acts left of a: its wires keep their positions above a.
-        return b, Slice(a.offset - b.gen.arity + b.gen.coarity, a.gen)
-    # b acts right of a's outputs: shift back through a's width change.
-    return Slice(b.offset - a.gen.coarity + a.gen.arity, b.gen), a
-
-
 def _reaches_end(above, s: Slice, below) -> bool:
     """Whether slice ``s`` between ``above`` and ``below``, walked alone,
-    exchanges up through every slice above or down through every one below."""
-    cur = s
-    for a in reversed(above):
-        if not _commute(a, cur):
+    exchanges up through every slice above or down through every one below.
+
+    Adjacent slices exchange when the lower one's inputs lie left or right
+    of the upper one's outputs (a zero-arity slice at either edge counts),
+    and the one passing on the right shifts by the other's width change.
+    """
+    o, g = s
+    for ao, ag in reversed(above):
+        if o + g.arity <= ao:
+            continue
+        if o < ao + ag.coarity:
             break
-        cur = _swap(a, cur)[0]
+        o += ag.arity - ag.coarity
     else:
         return True
-    for b in below:
-        if not _commute(s, b):
+    o = s.offset
+    for bo, bg in below:
+        if bo + bg.arity <= o:
+            o += bg.coarity - bg.arity
+        elif bo < o + g.coarity:
             return False
-        s = _swap(s, b)[1]
     return True
 
 
@@ -335,8 +323,10 @@ class _Branch:
     upward walk either stops under a blocker, and is listed in
     ``blocked[blocker]``, or reaches the top: ``fronts`` maps those, in
     input order, to ``(top slice, moved)``, where ``moved`` holds the
-    slices it passed, nearest first, as the swaps leave them.  ``tied``
-    lists the fronts with the least ``(offset, name)``, ``best``.
+    slices it passed, which are all the remaining ones above it, nearest
+    first, as the swaps leave them: one a swap shifted is a plain
+    ``(offset, gen)`` pair until the front is emitted.  ``tied`` lists the
+    fronts with the least ``(offset, name)``, ``best``.
     """
 
     __slots__ = ("emitted", "slices", "remaining", "blocked",
@@ -374,28 +364,42 @@ class _Branch:
     def walk(self, todo) -> None:
         """Walk each position of ``todo`` (ascending) up through the
         remaining slices above it.  The fronts found replace ``fronts``,
-        ``best`` and ``tied``: every front is in ``todo``."""
+        ``best`` and ``tied``: every front is in ``todo``.  Each exchange
+        step is :func:`_reaches_end`'s, inline."""
         sl, pos, blocked = self.slices, self.remaining, self.blocked
         fronts, tied, best = {}, [], None
         j = 0
         for x in todo:
-            cur, moved = sl[x], []
+            o, g = cur = sl[x]
+            arity, grow, moved = g.arity, g.coarity - g.arity, []
             j = bisect_left(pos, x, j)
             for k in range(j - 1, -1, -1):
-                a = pos[k]
-                if not _commute(sl[a], cur):
-                    blocked.setdefault(a, []).append(x)
+                ao, ag = a = sl[pos[k]]
+                if o + arity <= ao:
+                    moved.append((ao + grow, ag) if grow else a)
+                elif o >= ao + ag.coarity:
+                    o += ag.arity - ag.coarity
+                    moved.append(a)
+                else:
+                    blocked.setdefault(pos[k], []).append(x)
                     break
-                cur, a2 = _swap(sl[a], cur)
-                moved.append(a2)
             else:
+                if o != cur.offset:
+                    cur = Slice(o, g)
                 fronts[x] = cur, moved
-                key = cur.offset, cur.gen.name
+                key = o, g.name
                 if not tied or key < best:
                     best, tied = key, [x]
                 elif key == best:
                     tied.append(x)
         self.fronts, self.best, self.tied = fronts, best, tied
+
+    def after(self, x) -> tuple[Slice, ...]:
+        """The slices left at the remaining positions, in input order, once
+        front ``x`` is emitted."""
+        sl, pos = self.slices, self.remaining
+        i = bisect_left(pos, x)
+        return tuple(self.fronts[x][1][::-1] + [sl[p] for p in pos[i + 1:]])
 
     def emit(self, x) -> None:
         """Exchange front ``x`` to the top and emit it; walk again the other
@@ -403,12 +407,14 @@ class _Branch:
         stopped below ``x`` passes only slices the emission left alone, and
         one stopped at a slice ``x`` passed stops there still, since
         exchanging a commuting slice upward leaves unchanged which slices
-        above it commute with the walks below it."""
+        above it commute with the walks below it.  The pairs ``x``'s walk
+        shifted become slices here."""
         cur, moved = self.fronts[x]
         sl, pos = self.slices, self.remaining
         i = bisect_left(pos, x)
         for k, a2 in enumerate(moved, 1):
-            sl[pos[i - k]] = a2
+            if a2 is not sl[pos[i - k]]:
+                sl[pos[i - k]] = Slice(*a2)
         todo = self.blocked.pop(x, [])
         del pos[i]
         self.emitted = (self.emitted, cur, x)
@@ -465,17 +471,23 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
     least ``(offset, name)``, in branch order then slice order, which is the
     order a depth-first search tries them; so the first branch left at the
     end carries the positions that search would pick among its least tails.
+    A branch's future depends only on the slices at its remaining
+    positions, and positions map in order; so a tied front that leaves the
+    slices (:meth:`_Branch.after`) an earlier one of the round left is
+    dropped, since the earlier branch's descendants come first.  k parallel
+    closed components (``eta ; eps`` loops) then keep one branch, not k!.
 
     An emission redoes only the walks it can change (``_Branch.emit`` says
-    why every other walk stands), with the same ``_commute`` and ``_swap``
-    calls.  So the forms and ids are those of the loop that walks every
-    remaining slice each round, for arity-0 and coarity-0 generators too,
-    and a comb of n slices makes n - 1 ``_commute`` calls instead of
-    n(n - 1)/2.  A branch is copied only when it splits on a tie.
+    why every other walk stands), with the same exchange steps.  So the
+    forms and ids are those of the loop that walks every remaining slice
+    each round, for arity-0 and coarity-0 generators too, and a comb of n
+    slices makes n - 1 exchange tests instead of n(n - 1)/2.  A branch is
+    copied only when it splits on a tie.
 
     A ``window``, a tuple of input positions, asks for the least
     representative in which they are emitted consecutively, in that order:
-    each round keeps only the fronts :func:`_window_fronts` allows.
+    each round keeps only the fronts :func:`_window_fronts` allows, and
+    merges nothing.
     """
     branch = _Branch.start(slices)
     branches = [branch]
@@ -489,15 +501,26 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
         else:
             ties = [(b.best, b.tied) for b in branches]
         best = min(key for key, _ in ties)
-        grown = []
+        grown, seen = [], set()
         for b, (key, tied) in zip(branches, ties):
-            if key == best:
-                for t in tied[:-1]:
-                    c = b.split()
-                    c.emit(t)
-                    grown.append(c)
-                b.emit(tied[-1])
-                grown.append(b)
+            if key != best:
+                continue
+            if not window:
+                kept = []
+                for t in tied:
+                    rest = b.after(t)
+                    if rest not in seen:
+                        seen.add(rest)
+                        kept.append(t)
+                if not kept:
+                    continue
+                tied = kept
+            for t in tied[:-1]:
+                c = b.split()
+                c.emit(t)
+                grown.append(c)
+            b.emit(tied[-1])
+            grown.append(b)
         branches = grown
         branch = branches[0]
     return branch.cut()[0]
@@ -607,10 +630,14 @@ def exchange_closure_with_ids(d: Diagram) -> list[tuple[tuple[Slice, ...], tuple
         nxt = []
         for slices, ids in frontier:
             for i in range(len(slices) - 1):
-                a, b = slices[i], slices[i + 1]
-                if not _commute(a, b):
+                (ao, ag), (bo, bg) = a, b = slices[i], slices[i + 1]
+                # The exchange step of :func:`_reaches_end`, inline.
+                if bo + bg.arity <= ao:
+                    b2, a2 = b, Slice(ao - bg.arity + bg.coarity, ag)
+                elif bo >= ao + ag.coarity:
+                    b2, a2 = Slice(bo - ag.coarity + ag.arity, bg), a
+                else:
                     continue
-                b2, a2 = _swap(a, b)
                 new_slices = slices[:i] + (b2, a2) + slices[i + 2:]
                 if new_slices not in seen:
                     new_ids = ids[:i] + (ids[i + 1], ids[i]) + ids[i + 2:]

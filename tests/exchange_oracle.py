@@ -1,5 +1,8 @@
-"""The front walk that re-walks every remaining slice at every step, and the
-cut and block searches first built on it.
+"""The one-swap exchange step, the front walk that re-walks every remaining
+slice at every step, and the cut and block searches first built on it.
+
+``_commute`` and ``_swap`` are the exchange step as two functions; the
+kernel in ``polyrew.diagram`` runs the same step inline.
 
 ``_cuts``, ``_blocks`` and ``_lex_min`` now read one exchange state
 (``diagram._Branch``) that keeps each slice's walk between emissions; these
@@ -10,7 +13,28 @@ are kept as its reference: on any diagram, ``fronts_cuts`` and
 
 from typing import Iterator
 
-from polyrew.diagram import Diagram, Slice, _commute, _swap
+from polyrew.diagram import Diagram, Slice
+
+
+def _commute(a: Slice, b: Slice) -> bool:
+    """Whether adjacent slices ``a`` then ``b`` have disjoint supports.
+
+    ``b``'s input interval (in the wire coordinates between the two slices)
+    must lie entirely left of ``a``'s output interval, or entirely right of
+    it.  A zero-arity slice has a zero-width input interval; sitting at
+    either edge of ``a``'s outputs counts as disjoint, strictly inside does
+    not.
+    """
+    return b.offset + b.gen.arity <= a.offset or b.offset >= a.offset + a.gen.coarity
+
+
+def _swap(a: Slice, b: Slice) -> tuple[Slice, Slice]:
+    """Exchange commuting adjacent slices ``a`` then ``b`` into ``b'`` then ``a'``."""
+    if b.offset + b.gen.arity <= a.offset:
+        # b acts left of a: its wires keep their positions above a.
+        return b, Slice(a.offset - b.gen.arity + b.gen.coarity, a.gen)
+    # b acts right of a's outputs: shift back through a's width change.
+    return Slice(b.offset - a.gen.coarity + a.gen.arity, b.gen), a
 
 
 def _fronts(

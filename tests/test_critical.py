@@ -23,11 +23,9 @@ from polyrew.diagram import (
     Signature,
     Slice,
     TAU,
-    _commute,
     _cuts,
     _ends,
     _reaches_end,
-    _swap,
     canonical_form,
     diagram_equal,
     exchange_closure,
@@ -78,7 +76,7 @@ from polyrew.critical import (
 from polyrew.termination import mon_interpretation
 
 from conftest import make_as_polygraph, make_mon_polygraph
-from exchange_oracle import _fronts
+from exchange_oracle import _commute, _fronts, _swap
 from test_diagram import all_diagrams as every_diagram
 
 

@@ -1,6 +1,7 @@
 """Tests for the diagram data model, exchange canonical form, and the grammar."""
 
 import copy
+import math
 import pickle
 import random
 
@@ -16,9 +17,7 @@ from polyrew.diagram import (
     Signature,
     Slice,
     _blocks,
-    _commute,
     _cuts,
-    _swap,
     canonical_form,
     canonical_form_with_ids,
     diagram_equal,
@@ -31,7 +30,7 @@ from polyrew.diagram import (
     vcomp,
 )
 from conftest import ETA, MU
-from exchange_oracle import _fronts, fronts_blocks, fronts_cuts
+from exchange_oracle import _commute, _fronts, _swap, fronts_blocks, fronts_cuts
 from parse_oracle import oracle_parse_diagram
 
 
@@ -451,22 +450,28 @@ class TestIterativeCanonicalForm:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_comb_walks_are_linear(self, side, monkeypatch):
         # Each walk is kept until an emission can change it, so a comb of
-        # n mu makes n - 1 _commute calls, not the n(n - 1)/2 of a loop
-        # that walks every remaining slice each round.
+        # n mu hands each position to ``_Branch.walk`` at most twice (once
+        # at the start, once when the slice above it is emitted), not the
+        # n(n - 1)/2 times of a loop that walks every remaining slice each
+        # round.  The count is checked as it grows, so such a loop fails
+        # within a few rounds.
         n = 10_000
         offsets = [0] * n if side == "left" else range(n - 1, -1, -1)
         d = Diagram(n + 1, tuple(Slice(off, MU) for off in offsets))
-        calls = 0
+        walked = 0
+        walk = diagram_module._Branch.walk
 
-        def counting_commute(a, b):
-            nonlocal calls
-            calls += 1
-            return _commute(a, b)
+        def counting_walk(self, todo):
+            nonlocal walked
+            todo = list(todo)
+            walked += len(todo)
+            assert walked <= 2 * n
+            walk(self, todo)
 
-        monkeypatch.setattr(diagram_module, "_commute", counting_commute)
+        monkeypatch.setattr(diagram_module._Branch, "walk", counting_walk)
         canon, ids = canonical_form_with_ids.__wrapped__(d)
         assert (canon, ids) == (d, tuple(range(n)))
-        assert calls <= 2 * n
+        assert walked >= n
 
     @staticmethod
     def front_candidates(entries):
@@ -525,6 +530,75 @@ class TestIterativeCanonicalForm:
     def test_parallel_eta(self):
         canon = canonical_form(self.parallel(12))
         assert canon.slices == tuple(Slice(0, ETA) for _ in range(12))
+
+    @staticmethod
+    def side_by_side(k):
+        """``eta * ... * eta``: k units, each right of the ones above."""
+        return Diagram(0, tuple(Slice(i, ETA) for i in range(k)))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_parallel_eta_ids_match_recursive_search(self, k):
+        for d in (self.parallel(k), self.side_by_side(k)):
+            canon, ids = canonical_form_with_ids.__wrapped__(d)
+            expected = self.recursive_lex_min(
+                [(s, i) for i, s in enumerate(d.slices)])
+            assert list(zip(canon.slices, ids)) == expected, d
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_parallel_eta_branch_count(self, k, monkeypatch):
+        # Round r emits once per branch it leaves, and the branches of
+        # round r hold distinct remainders: at most C(k, r) of them, so
+        # 2^k - 1 emissions in all.
+        emits = {}
+        emit = diagram_module._Branch.emit
+
+        def counting_emit(self, x):
+            r = k + 1 - len(self.remaining)
+            emits[r] = emits.get(r, 0) + 1
+            emit(self, x)
+
+        monkeypatch.setattr(diagram_module._Branch, "emit", counting_emit)
+        for d in (self.parallel(k), self.side_by_side(k)):
+            emits.clear()
+            canonical_form_with_ids.__wrapped__(d)
+            assert all(emits[r] <= math.comb(k, r) for r in range(1, k + 1))
+            assert sum(emits.values()) == 2 ** k - 1
+
+    @pytest.mark.parametrize("bubble", [False, True])
+    def test_merged_ties_match_recursive_search(self, bubble, monkeypatch):
+        # Five to eight slices, past the exhaustive sets, where tied fronts
+        # often leave equal remainders: ``_lex_min`` keeps the first branch
+        # of each remainder, and the ids must stay the recursive search's.
+        # With a 0 -> 0 generator, closed components make tied branches
+        # that differ only in their ids, so keeping a later one shows.  A
+        # remainder seen twice in one call is a merge, since each round
+        # leaves remainders of its own length.
+        sig = self.SIG
+        if bubble:
+            sig = Signature("WithBubble", sig.generators + (
+                GeneratorSym("bubble", 0, 0),), is_prop=True)
+        rests = []
+        after = diagram_module._Branch.after
+
+        def recording_after(self, x):
+            rest = after(self, x)
+            rests.append(rest)
+            return rest
+
+        monkeypatch.setattr(diagram_module._Branch, "after", recording_after)
+        rng = random.Random(f"merged-ties/{bubble}")
+        merges = 0
+        for _ in range(1500):
+            d = random_diagram(sig, rng, max_slices=8, max_width=4)
+            if len(d.slices) < 5:
+                continue
+            rests.clear()
+            canon, ids = canonical_form_with_ids.__wrapped__(d)
+            merges += len(rests) - len(set(rests))
+            expected = self.recursive_lex_min(
+                [(s, i) for i, s in enumerate(d.slices)])
+            assert list(zip(canon.slices, ids)) == expected, d
+        assert merges >= 20
 
 
 class TestExchangeStates:

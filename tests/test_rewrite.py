@@ -14,8 +14,6 @@ from polyrew.diagram import (
     ParseError,
     Signature,
     Slice,
-    _commute,
-    _swap,
     canonical_form,
     diagram_equal,
     exchange_closure,
@@ -51,6 +49,7 @@ import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
 from conftest import MU
+from exchange_oracle import _commute, _swap
 from test_critical import all_diagrams as class_representatives
 from test_critical import counit_polygraph
 from test_diagram import all_diagrams, random_diagram
