@@ -12,10 +12,10 @@ One exchange state, ``_Branch``, serves every walk of a class: it keeps each
 unemitted slice's upward walk between emissions, and an emission redoes only
 the walks it can change.  ``canonical_form`` picks a unique representative of
 each class, the left-greedy (lexicographically least) slice sequence, in one
-loop that emits the least front and keeps one tied branch per remainder,
-so a comb of n slices costs n - 1 exchange tests; ``_cuts`` and ``_blocks``,
-the cut walks of critical-branching enumeration, search breadth-first over
-the same states.  Given a *window* of slices, the same loop gives the least
+loop that emits the least front and keeps every branch that ties, so a comb
+of n slices costs n - 1 exchange tests; ``_cuts`` and ``_blocks``, the cut
+walks of critical-branching enumeration, search breadth-first over the same
+states.  Given a *window* of slices, the same loop gives the least
 representative that emits them consecutively, in order; matching builds a
 context that way when it found the match on one wire-connected component,
 which ``_restrict`` cuts out of the diagram.  ``diagram_equal`` compares
@@ -279,14 +279,31 @@ def hcomp(*ds: Diagram) -> Diagram:
 # -- exchange -------------------------------------------------------------
 
 
+def _exchange(a: Slice, b: Slice) -> tuple[Slice, Slice] | None:
+    """Adjacent slices ``a`` then ``b`` exchanged into ``b'`` then ``a'``, or
+    None when their supports meet.
+
+    ``b``'s input interval (in the wire coordinates between the two slices)
+    must lie entirely left of ``a``'s output interval, or entirely right of
+    it.  A zero-arity slice has a zero-width input interval; sitting at
+    either edge of ``a``'s outputs counts as disjoint, strictly inside does
+    not.  The slice passing on the right shifts by the other's width change.
+    The walks below run this step inline.
+    """
+    (ao, ag), (bo, bg) = a, b
+    if bo + bg.arity <= ao:
+        # b acts left of a: its wires keep their positions above a.
+        return b, Slice(ao - bg.arity + bg.coarity, ag)
+    if bo >= ao + ag.coarity:
+        # b acts right of a's outputs: shift back through a's width change.
+        return Slice(bo - ag.coarity + ag.arity, bg), a
+    return None
+
+
 def _reaches_end(above, s: Slice, below) -> bool:
     """Whether slice ``s`` between ``above`` and ``below``, walked alone,
-    exchanges up through every slice above or down through every one below.
-
-    Adjacent slices exchange when the lower one's inputs lie left or right
-    of the upper one's outputs (a zero-arity slice at either edge counts),
-    and the one passing on the right shifts by the other's width change.
-    """
+    exchanges up through every slice above or down through every one below,
+    each step :func:`_exchange`'s, inline."""
     o, g = s
     for ao, ag in reversed(above):
         if o + g.arity <= ao:
@@ -365,7 +382,7 @@ class _Branch:
         """Walk each position of ``todo`` (ascending) up through the
         remaining slices above it.  The fronts found replace ``fronts``,
         ``best`` and ``tied``: every front is in ``todo``.  Each exchange
-        step is :func:`_reaches_end`'s, inline."""
+        step is :func:`_exchange`'s, inline."""
         sl, pos, blocked = self.slices, self.remaining, self.blocked
         fronts, tied, best = {}, [], None
         j = 0
@@ -393,13 +410,6 @@ class _Branch:
                 elif key == best:
                     tied.append(x)
         self.fronts, self.best, self.tied = fronts, best, tied
-
-    def after(self, x) -> tuple[Slice, ...]:
-        """The slices left at the remaining positions, in input order, once
-        front ``x`` is emitted."""
-        sl, pos = self.slices, self.remaining
-        i = bisect_left(pos, x)
-        return tuple(self.fronts[x][1][::-1] + [sl[p] for p in pos[i + 1:]])
 
     def emit(self, x) -> None:
         """Exchange front ``x`` to the top and emit it; walk again the other
@@ -471,11 +481,6 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
     least ``(offset, name)``, in branch order then slice order, which is the
     order a depth-first search tries them; so the first branch left at the
     end carries the positions that search would pick among its least tails.
-    A branch's future depends only on the slices at its remaining
-    positions, and positions map in order; so a tied front that leaves the
-    slices (:meth:`_Branch.after`) an earlier one of the round left is
-    dropped, since the earlier branch's descendants come first.  k parallel
-    closed components (``eta ; eps`` loops) then keep one branch, not k!.
 
     An emission redoes only the walks it can change (``_Branch.emit`` says
     why every other walk stands), with the same exchange steps.  So the
@@ -486,8 +491,7 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
 
     A ``window``, a tuple of input positions, asks for the least
     representative in which they are emitted consecutively, in that order:
-    each round keeps only the fronts :func:`_window_fronts` allows, and
-    merges nothing.
+    each round keeps only the fronts :func:`_window_fronts` allows.
     """
     branch = _Branch.start(slices)
     branches = [branch]
@@ -501,26 +505,15 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
         else:
             ties = [(b.best, b.tied) for b in branches]
         best = min(key for key, _ in ties)
-        grown, seen = [], set()
+        grown = []
         for b, (key, tied) in zip(branches, ties):
-            if key != best:
-                continue
-            if not window:
-                kept = []
-                for t in tied:
-                    rest = b.after(t)
-                    if rest not in seen:
-                        seen.add(rest)
-                        kept.append(t)
-                if not kept:
-                    continue
-                tied = kept
-            for t in tied[:-1]:
-                c = b.split()
-                c.emit(t)
-                grown.append(c)
-            b.emit(tied[-1])
-            grown.append(b)
+            if key == best:
+                for t in tied[:-1]:
+                    c = b.split()
+                    c.emit(t)
+                    grown.append(c)
+                b.emit(tied[-1])
+                grown.append(b)
         branches = grown
         branch = branches[0]
     return branch.cut()[0]
@@ -630,14 +623,10 @@ def exchange_closure_with_ids(d: Diagram) -> list[tuple[tuple[Slice, ...], tuple
         nxt = []
         for slices, ids in frontier:
             for i in range(len(slices) - 1):
-                (ao, ag), (bo, bg) = a, b = slices[i], slices[i + 1]
-                # The exchange step of :func:`_reaches_end`, inline.
-                if bo + bg.arity <= ao:
-                    b2, a2 = b, Slice(ao - bg.arity + bg.coarity, ag)
-                elif bo >= ao + ag.coarity:
-                    b2, a2 = Slice(bo - ag.coarity + ag.arity, bg), a
-                else:
+                swapped = _exchange(slices[i], slices[i + 1])
+                if swapped is None:
                     continue
+                b2, a2 = swapped
                 new_slices = slices[:i] + (b2, a2) + slices[i + 2:]
                 if new_slices not in seen:
                     new_ids = ids[:i] + (ids[i + 1], ids[i]) + ids[i + 2:]

@@ -1,8 +1,9 @@
 """The one-swap exchange step, the front walk that re-walks every remaining
 slice at every step, and the cut and block searches first built on it.
 
-``_commute`` and ``_swap`` are the exchange step as two functions; the
-kernel in ``polyrew.diagram`` runs the same step inline.
+``_commute`` and ``_swap`` are the exchange step as two functions, written
+apart from ``polyrew.diagram``, which has it as ``_exchange`` and runs it
+inline in its walks.
 
 ``_cuts``, ``_blocks`` and ``_lex_min`` now read one exchange state
 (``diagram._Branch``) that keeps each slice's walk between emissions; these
