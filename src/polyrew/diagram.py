@@ -79,6 +79,10 @@ class GeneratorSym:
     __slots__ = ("name", "arity", "coarity")
 
     def __new__(cls, name: str, arity: int, coarity: int) -> "GeneratorSym":
+        # Checked before the lookup: ``True`` and ``1.0`` hash and compare
+        # as ``1``, so they would find the entry of the int declaration.
+        if type(arity) is not int or type(coarity) is not int:
+            raise DiagramError("arity and coarity must be naturals")
         key = name, arity, coarity
         g = _GENERATORS.get(key)
         if g is None:
@@ -489,12 +493,29 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
     slices makes n - 1 exchange tests instead of n(n - 1)/2.  A branch is
     copied only when it splits on a tie.
 
+    A tie among free units does not split (:func:`_free_units`): the
+    branch emits only the one whose wire reaches the output furthest right.
+    A free unit blocks no walk, so emitting it unlocks no front and only
+    shifts the fronts right of it.  With m units tied at ``(o, name)``,
+    emitting the rightmost leaves the others at ``o``, so that child emits
+    ``(o, name)`` in each of the next m rounds; a child that emits another
+    one first shifts the rightmost past ``o``, loses one of those rounds,
+    and never lowers a round's best.  So the first branch left at the end
+    is the one the full search keeps, and k parallel ``eta`` emit k times,
+    not 2^k - 1.  Ties that still split: units some slice consumes (which
+    one goes first decides what that slice can meet), and arity-0 fronts
+    of other coarities, such as ``eta ; eps`` loops.
+
     A ``window``, a tuple of input positions, asks for the least
     representative in which they are emitted consecutively, in that order:
-    each round keeps only the fronts :func:`_window_fronts` allows.
+    each round keeps only the fronts :func:`_window_fronts` allows, and a
+    tie of free units settles as above only when none of them is in the
+    window.  The map of free units is built on the first round that has a
+    tie, so calls without one pay nothing for it.
     """
     branch = _Branch.start(slices)
     branches = [branch]
+    units = None
     for _ in range(len(slices)):
         if window:
             ties = [_window_fronts(b, window) for b in branches]
@@ -508,6 +529,11 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
         grown = []
         for b, (key, tied) in zip(branches, ties):
             if key == best:
+                if len(tied) > 1:
+                    if units is None:
+                        units = _free_units(slices)
+                    if all(x in units and x not in window for x in tied):
+                        tied = [max(tied, key=units.get)]
                 for t in tied[:-1]:
                     c = b.split()
                     c.emit(t)
@@ -517,6 +543,21 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
         branches = grown
         branch = branches[0]
     return branch.cut()[0]
+
+
+def _free_units(slices) -> dict[int, int]:
+    """The free units of ``slices``, each mapped to the output position of
+    its wire: the arity-0, coarity-1 slices whose wire no slice consumes.
+
+    Input wires a slice reaches past the ones seen so far are added on the
+    right; they are not units, so the positions keep their order."""
+    wires = []  # the slice that produced each wire, or None
+    for x, (o, g) in enumerate(slices):
+        end = o + g.arity
+        if len(wires) < end:
+            wires += [None] * (end - len(wires))
+        wires[o:end] = [x] if g.arity == 0 and g.coarity == 1 else [None] * g.coarity
+    return {x: p for p, x in enumerate(wires) if x is not None}
 
 
 def _window_fronts(b: _Branch, window) -> tuple[tuple, list]:

@@ -1,7 +1,6 @@
 """Tests for the diagram data model, exchange canonical form, and the grammar."""
 
 import copy
-import math
 import pickle
 import random
 
@@ -22,6 +21,7 @@ from polyrew.diagram import (
     canonical_form_with_ids,
     diagram_equal,
     exchange_closure,
+    exchange_closure_with_ids,
     generator_diagram,
     hcomp,
     identity,
@@ -119,6 +119,20 @@ class TestGeneratorSym:
             with pytest.raises(DiagramError):
                 GeneratorSym(*args)
         assert args not in diagram_module._GENERATORS
+
+    @pytest.mark.parametrize("arity, coarity", [(True, 1), (1, True), (1.0, 1),
+                                                (1, 1.0), ("1", 1), (1, None)])
+    def test_arities_must_be_ints(self, arity, coarity):
+        # ``True`` and ``1.0`` equal ``1``: taken unchecked, they found the
+        # entry of ``("z", 1, 1)`` or made one that printed ``arity=True``.
+        for _ in range(2):
+            with pytest.raises(DiagramError, match="must be naturals"):
+                GeneratorSym("z", arity, coarity)
+        z = GeneratorSym("z", 1, 1)
+        assert repr(z) == "GeneratorSym(name='z', arity=1, coarity=1)"
+        with pytest.raises(DiagramError, match="must be naturals"):
+            GeneratorSym("z", arity, coarity)
+        assert (type(z.arity), type(z.coarity)) == (int, int)
 
     def test_one_object_per_declaration(self):
         assert GeneratorSym("mu", 2, 1) is get_preset("mon").polygraph.signature.lookup("mu")
@@ -560,11 +574,11 @@ class TestIterativeCanonicalForm:
                 [(s, i) for i, s in enumerate(d.slices)])
             assert list(zip(canon.slices, ids)) == expected, d
 
-    @pytest.mark.parametrize("k", [6, 8, 10])
+    @pytest.mark.parametrize("k", [6, 8, 10, 12])
     def test_parallel_eta_branch_count(self, k, monkeypatch):
-        # Round r emits once per branch it leaves, and each branch of round
-        # r has emitted a different set of r units: at most C(k, r) of them,
-        # so 2^k - 1 emissions in all.
+        # Every tie is among free units, so no round splits: one emission
+        # per round, k in all.  Forking each tie made round r emit C(k, r)
+        # times, 2^k - 1 in all.
         emits = {}
         emit = diagram_module._Branch.emit
 
@@ -577,8 +591,92 @@ class TestIterativeCanonicalForm:
         for d in (self.parallel(k), self.side_by_side(k)):
             emits.clear()
             canonical_form_with_ids.__wrapped__(d)
-            assert all(emits[r] <= math.comb(k, r) for r in range(1, k + 1))
-            assert sum(emits.values()) == 2 ** k - 1
+            assert emits == {r: 1 for r in range(1, k + 1)}
+
+
+class TestFreeUnitTies:
+    """A tie among free units emits only the rightmost one instead of
+    forking.  The full tie search is ``_lex_min`` with ``_free_units``
+    finding none, and it must give the same entries."""
+
+    SIG = Signature("Units", (MU, ETA, GeneratorSym("delta", 1, 2),
+                              GeneratorSym("eps", 1, 0),
+                              GeneratorSym("cup", 0, 2),
+                              GeneratorSym("iota", 0, 1)), is_prop=True)
+
+    @classmethod
+    def random_with_units(cls, rng, max_slices):
+        """Two to ``max_slices`` slices, no wider than 5, units drawn three
+        times as often, redrawn until it holds two free units or more."""
+        gens = cls.SIG.all_generators()
+        while True:
+            w0 = w = rng.randint(0, 2)
+            slices = []
+            for _ in range(rng.randint(2, max_slices)):
+                options = [Slice(off, g) for g in gens
+                           for off in range(w - g.arity + 1)
+                           if w - g.arity + g.coarity <= 5]
+                weights = [3 if (s.gen.arity, s.gen.coarity) == (0, 1) else 1
+                           for s in options]
+                s = rng.choices(options, weights)[0]
+                slices.append(s)
+                w += s.gen.coarity - s.gen.arity
+            if len(diagram_module._free_units(slices)) >= 2:
+                return Diagram(w0, tuple(slices))
+
+    @staticmethod
+    def full_search(monkeypatch, slices, window=()):
+        with monkeypatch.context() as m:
+            m.setattr(diagram_module, "_free_units", lambda slices: {})
+            return diagram_module._lex_min(slices, window)
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except Exception as e:
+            return type(e)
+
+    def test_matches_full_search(self, monkeypatch):
+        rng = random.Random("free-units")
+        for _ in range(2000):
+            d = self.random_with_units(rng, 10)
+            assert (diagram_module._lex_min(d.slices)
+                    == self.full_search(monkeypatch, d.slices)), d
+
+    def test_windows_match_full_search(self, monkeypatch):
+        # Windows read from closure members, as ``find_matches`` hands them.
+        rng = random.Random("free-unit-windows")
+        for _ in range(200):
+            d = self.random_with_units(rng, 7)
+            members = exchange_closure_with_ids(d)
+            for _ in range(3):
+                _, ids = rng.choice(members)
+                i = rng.randrange(len(ids))
+                window = ids[i: rng.randint(i + 1, len(ids))]
+                expected = self.outcome(self.full_search, monkeypatch,
+                                        d.slices, window)
+                assert self.outcome(diagram_module._lex_min, d.slices,
+                                    window) == expected, (d, window)
+
+    @pytest.mark.parametrize("text, ids", [
+        ("(id 1 * eta * id 1) ; (id 2 * eta * id 1)", (1, 0)),
+        ("eta ; (eta * id 1)", (0, 1)),
+        # The left unit is consumed: its tie still forks, and the branch
+        # that emits it first wins.
+        ("eta ; (eta * id 1) ; (delta * id 1)", (1, 2, 0)),
+    ])
+    def test_pinned_unit_ids(self, text, ids):
+        d = parse_diagram(text, self.SIG)
+        assert canonical_form_with_ids.__wrapped__(d)[1] == ids
+
+    def test_free_units_map(self):
+        d = parse_diagram("eta ; (eta * id 1) ; (delta * id 1) ; (id 2 * eta * id 1)",
+                          self.SIG)
+        assert diagram_module._free_units(d.slices) == {0: 3, 3: 2}
+        # Consumed by the symmetry: not free.
+        d = parse_diagram("(eta * id 1) ; tau", self.SIG)
+        assert diagram_module._free_units(d.slices) == {}
 
 
 class TestExchangeStates:
