@@ -4,11 +4,14 @@
 rule applications.  Sources are built by gluing two rule sources along a
 common block: wherever blocks read off the exchange cuts of the two are
 equal modulo exchange and a horizontal shift, one whole source replaces
-the block in the other.  Each candidate overlap is then trimmed, verified
-by the matcher, and deduplicated by canonical form.  Entangled sources,
-where a slice outside both redexes is stuck between them, come from
-splicing into each padded overlap one slice that stays stuck between its
-neighbours.  The candidates are validated against an independent
+the block in the other.  Entangled sources, where a slice outside both
+redexes is stuck between them, come from splicing into each padded
+overlap one slice that stays stuck between its neighbours.  Each
+candidate is settled by a walk along its wires from its end slices: it
+needs two distinct, overlapping matches whose union covers the ends.  A
+spliced candidate the walk rejects is neither canonicalized nor matched;
+the matcher runs on the survivors, which are trimmed and deduplicated by
+canonical form.  The candidates are validated against an independent
 exhaustive search on the small presets in the test suite.
 
 ``s_construction`` extends an algebraic presentation (all generators of
@@ -24,6 +27,7 @@ homotopy basis of the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagram import (
     Diagram,
@@ -50,6 +54,8 @@ from .rewrite import (
     Rule,
     Step,
     Trace,
+    _match_walk,
+    _pattern_slots,
     compose_traces,
     find_matches,
     invert_trace,
@@ -217,6 +223,38 @@ def _tight(slices) -> Diagram:
     return Diagram(w0, slices)
 
 
+@lru_cache(maxsize=1 << 6)
+def _source_slots(p: Polygraph) -> dict | None:
+    """The slots of ``p``'s rule sources (:func:`_pattern_slots`)."""
+    return _pattern_slots(*(r.lhs for r in p.rules))
+
+
+def _covering_pair(p: Polygraph, d: Diagram, ends) -> bool | None:
+    """Whether ``d`` holds two distinct, overlapping matches of ``p``'s rule
+    sources whose union covers ``ends``, ``_ends(d)``: decided by walking
+    along wires from the ends (:func:`~polyrew.rewrite._match_walk`), or
+    ``None`` where that walk does not apply.
+
+    One match of such a pair holds the least end.  The other holds the
+    least end the first misses or, when it misses none, overlaps it, and so
+    holds one of its slices.
+    """
+    walk = _match_walk(d, _source_slots(p))
+    if walk is None:
+        return None
+    if not ends:
+        return False
+    for first in walk(min(ends)):
+        occ = first[1]
+        missed = ends - occ
+        for x in (min(missed),) if missed else occ:
+            for second in walk(x):
+                if (second != first and occ & second[1]
+                        and ends <= occ | second[1]):
+                    return True
+    return False
+
+
 def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     """The critical branchings of ``p`` whose source is (the canonical form
     of) ``u``.
@@ -234,11 +272,18 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     representative, and the ``ends`` (occurrences some representative puts
     first or last) from walking each slice alone up and down through its
     neighbours (``_ends``); a pair is minimal when its union covers ``ends``.
+
+    A source is settled by the walk (:func:`_covering_pair`) before the
+    matcher runs: when it holds no two distinct, overlapping matches
+    covering ``ends``, the answer is ``[]``; the matcher runs on the
+    survivors, and on every source where the walk does not apply.
     """
     u = canonical_form(u)
     if any(_outer_whiskers(u)):
         return []
     ends = _ends(u)
+    if _covering_pair(p, u, ends) is False:
+        return []
     matches = [(p.rules[m.pattern], m)
                for m in find_matches(u, *(r.lhs for r in p.rules))]
     out = []
@@ -291,23 +336,25 @@ def _stuck_splices(u: Diagram, gens):
 def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     """All critical branchings of ``p``, deduplicated and in canonical order.
 
-    Candidate sources are generated in two phases and every candidate is
-    re-verified against the matcher and the minimality test, so generation
-    is heuristic but acceptance is not.  Phase 1 glues pairs of rule
-    sources along a common block (all overlap-type branchings, where the
-    source is the union of the two redexes): the splits of every rule source
-    (``_blocks``) are grouped by tight block modulo exchange, and each
-    ordered pair of splits in a group gives ``above2 ; above1 ; block1 ;
-    below1 ; below2``, shifted so that the blocks coincide.  Phase 2 walks
-    the cuts of each phase-1 source, padded once, and splices in one stuck
-    slice (``_stuck_splices``), to catch entangled branchings whose source
+    Candidate sources are generated in two phases.  Every candidate is
+    settled by the walk (:func:`_covering_pair`), and the matcher and the
+    minimality test run on the survivors, so generation is heuristic but
+    acceptance is not.  Phase 1 glues pairs of rule sources along a common
+    block (all overlap-type branchings, where the source is the union of
+    the two redexes): the splits of every rule source (``_blocks``) are
+    grouped by tight block modulo exchange, and each ordered pair of splits
+    in a group gives ``above2 ; above1 ; block1 ; below1 ; below2``,
+    shifted so that the blocks coincide.  Phase 2 walks the cuts of each
+    phase-1 source, padded once, and splices in one stuck slice
+    (``_stuck_splices``), to catch entangled branchings whose source
     strictly contains the union — e.g. the wide Yang–Baxter self-overlap.
-    Completeness is bounded: branchings needing two or more stuck slices
-    are missed, and such branchings exist (perm has three ``yb``/``yb``
-    ones, pinned in the test suite).  With a coarity-0 generator in a rule
-    source, an exchange can have two results that ``_cuts`` reads as one,
-    so phase 1 can miss a gluing and its branching (pinned in the test
-    suite); no preset has such a generator.
+    The walk settles each splice as built, so a rejected one is neither
+    canonicalized nor matched.  Completeness is bounded: branchings needing
+    two or more stuck slices are missed, and such branchings exist (perm
+    has three ``yb``/``yb`` ones, pinned in the test suite).  With a
+    coarity-0 generator in a rule source, an exchange can have two results
+    that ``_cuts`` reads as one, so phase 1 can miss a gluing and its
+    branching (pinned in the test suite); no preset has such a generator.
     """
     found: list[Branching] = []
     seen: set = set()
@@ -341,7 +388,8 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     gens = p.signature.all_generators()
     for br in list(found):
         for variant in _stuck_splices(br.source, gens):
-            consider(variant)
+            if _covering_pair(p, variant, _ends(variant)) is not False:
+                consider(variant)
     found.sort(
         key=lambda br: (
             len(br.source.slices),

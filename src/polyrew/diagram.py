@@ -80,7 +80,11 @@ class GeneratorSym:
 
     def __new__(cls, name: str, arity: int, coarity: int) -> "GeneratorSym":
         # Checked before the lookup: ``True`` and ``1.0`` hash and compare
-        # as ``1``, so they would find the entry of the int declaration.
+        # as ``1``, so they would find the entry of the int declaration, and
+        # a name that is not a ``str`` would be interned and then break the
+        # ``(offset, name)`` order of canonical forms.
+        if type(name) is not str:
+            raise DiagramError("generator name must be a string")
         if type(arity) is not int or type(coarity) is not int:
             raise DiagramError("arity and coarity must be naturals")
         key = name, arity, coarity

@@ -21,7 +21,10 @@ and has no pass-through wire, and no slice has coarity 0, each match lies in
 one component, so each component is matched on its own closure and
 generators beside a redex cost no orders; otherwise the closure is the whole
 subject's.  A match builds its context only when it is read, the same on
-either path.
+either path.  Where the component path applies, a match is also a convex,
+wire-connected set of slices, so a walk along wires from one slice lists
+the matches that hold it without any closure; critical-pair enumeration
+settles its candidates that way.
 
 Normalization applies the first match of the first applicable rule in
 declaration order.  Matches are ordered by their occurrence sets in canonical
@@ -250,6 +253,23 @@ def _roots(parent: list[int]) -> list[int]:
     return roots
 
 
+def _ports(d: Diagram) -> tuple[list, list]:
+    """What feeds each input port and what consumes each output port of
+    each slice of ``d``, in one pass: ``(slice, port)``, or ``None`` for a
+    wire of ``d``'s own input or output."""
+    feeds, consumers = [], []
+    wires = [None] * d.input_width  # per wire, the output that feeds it
+    for i, (o, g) in enumerate(d.slices):
+        ins = wires[o: o + g.arity]
+        for q, w in enumerate(ins):
+            if w is not None:
+                consumers[w[0]][w[1]] = i, q
+        feeds.append(ins)
+        consumers.append([None] * g.coarity)
+        wires[o: o + g.arity] = [(i, p) for p in range(g.coarity)]
+    return feeds, consumers
+
+
 @lru_cache(maxsize=1 << 12)
 def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset, bool]:
     """A pattern's canonical form and wire kinds, and whether it is closed:
@@ -258,6 +278,122 @@ def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset, bool]:
     kinds, parent, wires = _wire_walk(pattern)
     closed = len(set(_roots(parent))) == 1 and None not in wires
     return canonical_form(pattern), frozenset(kinds), closed
+
+
+def _pattern_slots(*patterns: Diagram) -> dict | None:
+    """Where each generator sits in ``patterns``, for :func:`_match_walk`;
+    None unless every pattern is closed (:func:`_pattern_form`).
+
+    A slot is ``(pattern index, slice, steps, checks, outputs)``: the
+    pattern's wires (:func:`_ports`) walked breadth first from that slice.
+    A step ``(a, down, port, u, uport, gen)`` reaches slice ``u``, a
+    ``gen``, at its port ``uport`` from ``port`` of slice ``a``, down to a
+    consumer or up to a feed; a check ``(a, down, port, u, uport)`` is a
+    wire no step took.  ``outputs`` are the ``(slice, port)`` pairs that
+    feed an output wire of the pattern.
+    """
+    if not all(_pattern_form(pattern)[2] for pattern in patterns):
+        return None
+    slots = {}
+    for n, pattern in enumerate(patterns):
+        gens = [s.gen for s in pattern.slices]
+        feeds, consumers = _ports(pattern)
+        outputs = [(a, p) for a, links in enumerate(consumers)
+                   for p, w in enumerate(links) if w is None]
+        for t, g in enumerate(gens):
+            steps, checks, order, taken = [], [], [t], set()
+            for a in order:  # grows as the walk reaches slices
+                for down, links in ((False, feeds[a]), (True, consumers[a])):
+                    for port, w in enumerate(links):
+                        if w is None:
+                            continue
+                        # A wire is named by the output that feeds it.
+                        wire = (a, port) if down else w
+                        if wire in taken:
+                            continue
+                        taken.add(wire)
+                        u, uport = w
+                        if u in order:
+                            checks.append((a, down, port, u, uport))
+                        else:
+                            order.append(u)
+                            steps.append((a, down, port, u, uport, gens[u]))
+            slots.setdefault(g, []).append((n, t, steps, checks, outputs))
+    return slots
+
+
+def _local(closed: bool, d: Diagram) -> bool:
+    """Whether matches in ``d`` are local: the patterns are ``closed``
+    (:func:`_pattern_form`) and no slice of ``d`` has coarity 0, with which
+    exchange is not symmetric.  Then each match is a convex, wire-connected
+    set of slices of ``d``, so it lies in one component and a walk along
+    wires finds it."""
+    return closed and all(s.gen.coarity for s in d.slices)
+
+
+def _match_walk(d: Diagram, slots: dict | None):
+    """A walk along the wires of ``d`` that lists, for a slice of ``d``, the
+    ``(pattern index, occurrence set)`` pairs of the matches that hold it,
+    of the patterns laid out in ``slots`` (:func:`_pattern_slots`); ``None``
+    where it does not apply (:func:`_local`).  Occurrences are indices into
+    ``d.slices``.
+
+    Each slice's feeds and consumers are read once (:func:`_ports`).  From
+    the anchor, set on each pattern slice of its generator in turn, the
+    walk follows the pattern's inner wires, each to the same port of the
+    same generator.  It accepts the image when it is one-to-one, no
+    boundary output wire of the pattern comes back into it, and no path
+    leaves it and returns (it is convex).  Such an image is a window of
+    some exchange representative, so the pairs are those of
+    :func:`find_matches` on ``d``'s canonical form, renumbered.
+    """
+    if not _local(slots is not None, d):
+        return None
+    gens = [s.gen for s in d.slices]
+    feeds, consumers = _ports(d)
+
+    def image(t, x, steps, checks, outputs):
+        """The slices of ``d`` that pattern slice ``t`` on slice ``x``
+        leads to along wires, or None."""
+        to = {t: x}
+        for a, down, port, u, uport, g in steps:
+            w = (consumers if down else feeds)[to[a]][port]
+            if w is None or w[1] != uport or gens[w[0]] is not g:
+                return None
+            to[u] = w[0]
+        for a, down, port, u, uport in checks:
+            if (consumers if down else feeds)[to[a]][port] != (to[u], uport):
+                return None
+        occ = set(to.values())
+        if len(occ) < len(to):
+            return None
+        out = []  # slices outside the image that its outputs feed
+        for a, p in outputs:
+            w = consumers[to[a]][p]
+            if w is not None:
+                if w[0] in occ:
+                    return None
+                out.append(w[0])
+        # A path that returns passes only slices above the image's last.
+        last, seen = max(occ), set()
+        while out:
+            y = out.pop()
+            if y in occ:
+                return None
+            if y < last and y not in seen:
+                seen.add(y)
+                out.extend(w[0] for w in consumers[y] if w is not None)
+        return occ
+
+    def walk(anchor: int) -> list[tuple[int, frozenset[int]]]:
+        found = {}
+        for n, t, steps, checks, outputs in slots.get(gens[anchor], ()):
+            occ = image(t, anchor, steps, checks, outputs)
+            if occ is not None:
+                found[n, frozenset(occ)] = None
+        return list(found)
+
+    return walk
 
 
 def _windows(members, width: int, pats):
@@ -336,13 +472,14 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
 
     The patterns left are looked for in exchange closures, one pass serving
     them all.  When every one of them is closed (:func:`_pattern_form`) and
-    no slice of ``d`` has coarity 0, each occurrence lies in one
-    wire-connected component of ``d``, so each component whose kinds some
-    pattern needs is matched on its own closure (:func:`_restrict`), and
-    bystanders in other components cost no orders; a match's context is
-    then built by the window-constrained :func:`_lex_min`.  Otherwise the
-    closure is the whole subject's, and a context is read off the first
-    member, in closure order, that holds the match.
+    no slice of ``d`` has coarity 0 (:func:`_local`), each occurrence
+    lies in one wire-connected component of ``d``, so each component whose
+    kinds some pattern needs is matched on its own closure
+    (:func:`_restrict`), and bystanders in other components cost no
+    orders; a match's context is then built by the window-constrained
+    :func:`_lex_min`.  Otherwise the closure is the whole subject's, and a
+    context is read off the first member, in closure order, that holds the
+    match.
     """
     if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
@@ -358,8 +495,8 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     subject = canonical_form(d)
     found: dict[tuple[int, frozenset[int]], Match] = {}
     # More than one root in the forest: more than one component.
-    if (all_closed and sum(map(int.__eq__, parent, range(len(parent)))) > 1
-            and all(s.gen.coarity for s in d.slices)):
+    if (sum(map(int.__eq__, parent, range(len(parent)))) > 1
+            and _local(all_closed, d)):
         roots = _roots(parent)
         labels = [roots[i] for i in canonical_form_with_ids(d)[1]]
         for c in dict.fromkeys(labels):

@@ -27,6 +27,28 @@ def make_mon_polygraph() -> Polygraph:
     return Polygraph(sig, (alpha, lam, rho))
 
 
+def cup_polygraph():
+    """A prop with a cap ``cup : 0 -> 2``, so that a unit can sit between
+    two wires it has no wire to, and rules whose sources are closed."""
+    sig = Signature("Cup", (
+        GeneratorSym("mu", 2, 1),
+        GeneratorSym("eta", 0, 1),
+        GeneratorSym("cup", 0, 2),
+        GeneratorSym("delta", 1, 2),
+    ), is_prop=True)
+
+    def rule(name, lhs, rhs):
+        return Rule(name, parse_diagram(lhs, sig), parse_diagram(rhs, sig))
+
+    return Polygraph(sig, (
+        rule("fold", "cup ; mu", "eta"),
+        rule("unit", "(eta * id 1) ; mu", "id 1"),
+        rule("frob", "delta ; mu", "id 1"),
+        rule("twist", "cup ; tau", "cup"),
+        rule("copy", "eta ; delta", "cup"),
+    ))
+
+
 def make_as_polygraph() -> Polygraph:
     sig = Signature("As", (MU,))
     alpha = Rule(

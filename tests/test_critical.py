@@ -27,6 +27,7 @@ from polyrew.diagram import (
     _ends,
     _reaches_end,
     canonical_form,
+    canonical_form_with_ids,
     diagram_equal,
     exchange_closure,
     exchange_closure_with_ids,
@@ -41,6 +42,8 @@ from polyrew.rewrite import (
     Polygraph,
     RewriteError,
     Rule,
+    _match_walk,
+    _pattern_slots,
     find_matches,
     normalize,
     parse_polygraph,
@@ -75,7 +78,7 @@ from polyrew.critical import (
 )
 from polyrew.termination import mon_interpretation
 
-from conftest import make_as_polygraph, make_mon_polygraph
+from conftest import cup_polygraph, make_as_polygraph, make_mon_polygraph
 from exchange_oracle import _commute, _fronts, _swap
 from test_diagram import all_diagrams as every_diagram
 
@@ -792,6 +795,116 @@ def test_stuck_splices_match_four_widenings(preset):
         new = [d for d in _stuck_splices(u, gens) if not any(_outer_whiskers(d))]
         assert classes(new) == classes(four_widening_splices(u, gens)), (
             print_diagram(u))
+
+
+# -- the wire walk that settles candidates ----------------------------------
+
+
+def walk_pairs(d, patterns):
+    """The ``(pattern, occurrence set)`` pairs ``_match_walk`` finds from
+    every slice of ``d``, renumbered into ``d``'s canonical form."""
+    walk = _match_walk(d, _pattern_slots(*patterns))
+    canon = {x: k for k, x in enumerate(canonical_form_with_ids(d)[1])}
+    return {(n, frozenset(canon[x] for x in occ))
+            for anchor in range(len(d)) for n, occ in walk(anchor)}
+
+
+def matcher_pairs(d, patterns):
+    return {(m.pattern, m.occurrences) for m in find_matches(d, *patterns)}
+
+
+def undecided_enumeration(p, monkeypatch):
+    """The enumeration with the walk's decision left to the matcher."""
+    with monkeypatch.context() as m:
+        m.setattr(critical, "_covering_pair", lambda *args: None)
+        return enumerate_critical_branchings(p)
+
+
+def recording_splices(raw):
+    """``_stuck_splices``, appending each splice it yields to ``raw``."""
+    splices = critical._stuck_splices
+
+    def record(u, gens):
+        for d in splices(u, gens):
+            raw.append(d)
+            yield d
+    return record
+
+
+def enumeration_candidates(p, monkeypatch):
+    """The raw stuck splices and the canonical candidates the enumeration
+    hands ``critical_pairs_on`` when the walk decides nothing."""
+    raw, canon = [], []
+    pairs_on = critical.critical_pairs_on
+
+    def record(p, u):
+        canon.append(u)
+        return pairs_on(p, u)
+
+    with monkeypatch.context() as m:
+        m.setattr(critical, "_stuck_splices", recording_splices(raw))
+        m.setattr(critical, "critical_pairs_on", record)
+        undecided_enumeration(p, monkeypatch)
+    return raw + canon
+
+
+class TestMatchWalk:
+    """The wire walk finds the matcher's pairs wherever it applies."""
+
+    @pytest.mark.parametrize("preset, max_slices, count", [
+        ("mon", 5, 1360), ("sym_prime", 4, 2988), ("br", 4, 2988)])
+    def test_small_diagrams_match_the_matcher(self, preset, max_slices, count):
+        p = get_preset(preset).polygraph
+        patterns = [r.lhs for r in p.rules]
+        ds = [d for d in all_diagrams(p.signature, max_slices, 4)
+              if all(s.gen.coarity for s in d.slices)]
+        assert len(ds) == count
+        for d in ds:
+            assert walk_pairs(d, patterns) == matcher_pairs(d, patterns), (
+                print_diagram(d))
+
+    @pytest.mark.parametrize("preset", list(GOLDEN_ENUMERATION))
+    def test_enumeration_candidates_match_the_matcher(
+            self, monkeypatch, preset):
+        p = get_preset(preset).polygraph
+        patterns = [r.lhs for r in p.rules]
+        for d in enumeration_candidates(p, monkeypatch):
+            assert walk_pairs(d, patterns) == matcher_pairs(d, patterns), (
+                print_diagram(d))
+
+    def test_undecided_with_coarity0_or_open_patterns(self):
+        p = counit_polygraph()
+        d = parse_diagram("delta ; (eps * id 1)", p.signature)
+        assert _match_walk(d, _pattern_slots(*(r.lhs for r in p.rules))) is None
+        mon = get_preset("mon").polygraph
+        assert _pattern_slots(parse_diagram("mu * mu", mon.signature)) is None
+        assert _pattern_slots(parse_diagram("mu * id 1", mon.signature)) is None
+
+
+def test_walk_decision_keeps_enumeration(monkeypatch):
+    # With the walk deciding nothing, every candidate goes to the matcher,
+    # as before the walk; the branchings, their steps and order must agree.
+    for k, p in enumerate([counit_polygraph(), cup_polygraph(),
+                           coarity0_pair(), *random_polygraphs(2026, 150)]):
+        assert repr(enumerate_critical_branchings(p)) == repr(
+            undecided_enumeration(p, monkeypatch)), k
+
+
+@pytest.mark.parametrize("preset", ["sym", "sym_prime"])
+def test_matcher_runs_on_a_fifth_of_the_splices(monkeypatch, preset):
+    p = get_preset(preset).polygraph
+    raw, calls = [], []
+    matcher = critical.find_matches
+
+    def count(*args):
+        calls.append(args)
+        return matcher(*args)
+
+    monkeypatch.setattr(critical, "_stuck_splices", recording_splices(raw))
+    monkeypatch.setattr(critical, "find_matches", count)
+    enumerate_critical_branchings(p)
+    distinct = {(d.input_width, canonical_form(d).slices) for d in raw}
+    assert 5 * len(calls) <= len(distinct)
 
 
 def slice_orders(d):

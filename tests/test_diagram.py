@@ -134,6 +134,15 @@ class TestGeneratorSym:
             GeneratorSym("z", arity, coarity)
         assert (type(z.arity), type(z.coarity)) == (int, int)
 
+    @pytest.mark.parametrize("name", [5, None, b"mu"])
+    def test_name_must_be_str(self, name):
+        # Interned unchecked, ``5`` made ``canonical_form`` raise a bare
+        # ``TypeError`` when it compared ``(offset, name)`` keys.
+        for _ in range(2):
+            with pytest.raises(DiagramError, match="must be a string"):
+                GeneratorSym(name, 0, 1)
+        assert all(type(key[0]) is str for key in diagram_module._GENERATORS)
+
     def test_one_object_per_declaration(self):
         assert GeneratorSym("mu", 2, 1) is get_preset("mon").polygraph.signature.lookup("mu")
         assert GeneratorSym(name="mu", arity=2, coarity=1) is MU

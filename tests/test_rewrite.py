@@ -10,9 +10,7 @@ import pytest
 from polyrew.diagram import (
     Diagram,
     DiagramError,
-    GeneratorSym,
     ParseError,
-    Signature,
     Slice,
     canonical_form,
     diagram_equal,
@@ -48,7 +46,7 @@ from polyrew.rewrite import _wire_kinds
 import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
-from conftest import MU
+from conftest import MU, cup_polygraph
 from exchange_oracle import _commute, _swap
 from test_critical import all_diagrams as class_representatives
 from test_critical import counit_polygraph
@@ -393,28 +391,6 @@ def components(d):
                 root[find(j)] = i
         producer[s.offset: s.offset + s.gen.arity] = [i] * s.gen.coarity
     return len({find(i) for i in range(len(d))})
-
-
-def cup_polygraph():
-    """A prop with a cap ``cup : 0 -> 2``, so that a unit can sit between
-    two wires it has no wire to, and rules whose sources are closed."""
-    sig = Signature("Cup", (
-        GeneratorSym("mu", 2, 1),
-        GeneratorSym("eta", 0, 1),
-        GeneratorSym("cup", 0, 2),
-        GeneratorSym("delta", 1, 2),
-    ), is_prop=True)
-
-    def rule(name, lhs, rhs):
-        return Rule(name, parse_diagram(lhs, sig), parse_diagram(rhs, sig))
-
-    return Polygraph(sig, (
-        rule("fold", "cup ; mu", "eta"),
-        rule("unit", "(eta * id 1) ; mu", "id 1"),
-        rule("frob", "delta ; mu", "id 1"),
-        rule("twist", "cup ; tau", "cup"),
-        rule("copy", "eta ; delta", "cup"),
-    ))
 
 
 class TestComponentSplit:
