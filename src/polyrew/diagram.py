@@ -17,8 +17,8 @@ of n slices costs n - 1 exchange tests; ``_cuts`` and ``_blocks``, the cut
 walks of critical-branching enumeration, search breadth-first over the same
 states.  Given a *window* of slices, the same loop gives the least
 representative that emits them consecutively, in order; matching builds a
-context that way when it found the match on one wire-connected component,
-which ``_restrict`` cuts out of the diagram.  ``diagram_equal`` compares
+context that way when the match was found by a walk along wires, which
+needs no closure.  ``diagram_equal`` compares
 canonical forms.  This is exact only when no generator has coarity 0: with
 one, the single-swap relation is not symmetric, and equal 2-cells can get
 different canonical forms.  Over ``eta : 0 -> 1``, ``delta : 1 -> 2`` and
@@ -599,34 +599,6 @@ def _follows(b: _Branch, window) -> bool:
             return False
         c.emit(x)
     return True
-
-
-def _restrict(d: Diagram, labels, keep) -> tuple[Diagram, list[int]]:
-    """The slices of ``d`` whose label is ``keep``, on their own wires.
-
-    ``labels[i]`` labels slice ``i``, and a wire takes the label of the
-    slice that produces it, else of the one that consumes it.  Each kept
-    slice's offset counts only the wires left of it that have label
-    ``keep``; ``back[k]`` is the index in ``d`` of kept slice ``k``.
-    """
-    # An input wire has no producer: find its consumer first.
-    inputs = [None] * d.input_width
-    wires = list(range(d.input_width))
-    for s, c in zip(d.slices, labels):
-        o, g = s.offset, s.gen
-        for x in wires[o: o + g.arity]:
-            if x is not None:
-                inputs[x] = c
-        wires[o: o + g.arity] = [None] * g.coarity
-    wires = inputs[:]
-    kept, back = [], []
-    for i, (s, c) in enumerate(zip(d.slices, labels)):
-        o, g = s.offset, s.gen
-        if c == keep:
-            kept.append(Slice(wires[:o].count(keep), g))
-            back.append(i)
-        wires[o: o + g.arity] = [c] * g.coarity
-    return Diagram(inputs.count(keep), tuple(kept)), back
 
 
 @lru_cache(maxsize=1 << 17)

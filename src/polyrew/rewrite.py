@@ -17,14 +17,13 @@ generator feeds which input port of which.  Exchange keeps those, so a
 pattern with a kind the subject lacks cannot match and is skipped; when
 every pattern is skipped, no closure is built.  The same walk finds the
 subject's wire-connected components.  When every pattern left is connected
-and has no pass-through wire, and no slice has coarity 0, each match lies in
-one component, so each component is matched on its own closure and
-generators beside a redex cost no orders; otherwise the closure is the whole
-subject's.  A match builds its context only when it is read, the same on
-either path.  Where the component path applies, a match is also a convex,
-wire-connected set of slices, so a walk along wires from one slice lists
-the matches that hold it without any closure; critical-pair enumeration
-settles its candidates that way.
+and has no pass-through wire, and no slice has coarity 0, each match is a
+convex, wire-connected set of slices, so a walk along wires from one slice
+lists the matches that hold it without any closure.  A subject of more than
+one component is matched that way, so generators beside a redex cost no
+orders, and critical-pair enumeration settles its candidates that way; any
+other subject is matched on its whole closure.  A match builds its context
+only when it is read, the same on either path.
 
 Normalization applies the first match of the first applicable rule in
 declaration order.  Matches are ordered by their occurrence sets in canonical
@@ -45,9 +44,7 @@ from .diagram import (
     PolyrewError,
     Signature,
     _lex_min,
-    _restrict,
     canonical_form,
-    canonical_form_with_ids,
     diagram_equal,
     exchange_closure_with_ids,
     identity,
@@ -243,14 +240,10 @@ def _wire_kinds(d: Diagram) -> frozenset:
     return frozenset(_wire_walk(d)[0])
 
 
-def _roots(parent: list[int]) -> list[int]:
-    """The root of each slice in the forest ``parent``."""
-    roots = []
-    for j in range(len(parent)):
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        roots.append(j)
-    return roots
+def _components(parent: list[int]) -> int:
+    """The number of trees in the forest ``parent`` (:func:`_wire_walk`):
+    the wire-connected components of its diagram."""
+    return sum(map(int.__eq__, parent, range(len(parent))))
 
 
 def _ports(d: Diagram) -> tuple[list, list]:
@@ -276,10 +269,11 @@ def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset, bool]:
     connected, with every input wire consumed and every output wire produced
     by one of its slices.  Built once per pattern."""
     kinds, parent, wires = _wire_walk(pattern)
-    closed = len(set(_roots(parent))) == 1 and None not in wires
+    closed = _components(parent) == 1 and None not in wires
     return canonical_form(pattern), frozenset(kinds), closed
 
 
+@lru_cache(maxsize=1 << 8)
 def _pattern_slots(*patterns: Diagram) -> dict | None:
     """Where each generator sits in ``patterns``, for :func:`_match_walk`;
     None unless every pattern is closed (:func:`_pattern_form`).
@@ -332,11 +326,12 @@ def _local(closed: bool, d: Diagram) -> bool:
 
 
 def _match_walk(d: Diagram, slots: dict | None):
-    """A walk along the wires of ``d`` that lists, for a slice of ``d``, the
-    ``(pattern index, occurrence set)`` pairs of the matches that hold it,
-    of the patterns laid out in ``slots`` (:func:`_pattern_slots`); ``None``
-    where it does not apply (:func:`_local`).  Occurrences are indices into
-    ``d.slices``.
+    """A walk along the wires of ``d`` that maps, for a slice of ``d``, the
+    ``(pattern index, occurrence set)`` pair of each match that holds it,
+    of the patterns laid out in ``slots`` (:func:`_pattern_slots`), to the
+    match's window: its occurrences in the order of the pattern's slices.
+    ``None`` where it does not apply (:func:`_local`).  Occurrences are
+    indices into ``d.slices``.
 
     Each slice's feeds and consumers are read once (:func:`_ports`).  From
     the anchor, set on each pattern slice of its generator in turn, the
@@ -353,9 +348,9 @@ def _match_walk(d: Diagram, slots: dict | None):
     feeds, consumers = _ports(d)
 
     def image(t, x, steps, checks, outputs):
-        """The slices of ``d`` that pattern slice ``t`` on slice ``x``
-        leads to along wires, or None."""
-        to = {t: x}
+        """The slice of ``d`` that each pattern slice reaches along wires
+        from pattern slice ``t`` on slice ``x``, or None."""
+        to = [x] * (len(steps) + 1)  # the walk reaches every pattern slice
         for a, down, port, u, uport, g in steps:
             w = (consumers if down else feeds)[to[a]][port]
             if w is None or w[1] != uport or gens[w[0]] is not g:
@@ -364,7 +359,7 @@ def _match_walk(d: Diagram, slots: dict | None):
         for a, down, port, u, uport in checks:
             if (consumers if down else feeds)[to[a]][port] != (to[u], uport):
                 return None
-        occ = set(to.values())
+        occ = set(to)
         if len(occ) < len(to):
             return None
         out = []  # slices outside the image that its outputs feed
@@ -383,15 +378,15 @@ def _match_walk(d: Diagram, slots: dict | None):
             if y < last and y not in seen:
                 seen.add(y)
                 out.extend(w[0] for w in consumers[y] if w is not None)
-        return occ
+        return to
 
-    def walk(anchor: int) -> list[tuple[int, frozenset[int]]]:
+    def walk(anchor: int) -> dict[tuple[int, frozenset[int]], tuple]:
         found = {}
         for n, t, steps, checks, outputs in slots.get(gens[anchor], ()):
-            occ = image(t, anchor, steps, checks, outputs)
-            if occ is not None:
-                found[n, frozenset(occ)] = None
-        return list(found)
+            to = image(t, anchor, steps, checks, outputs)
+            if to is not None:
+                found.setdefault((n, frozenset(to)), tuple(to))
+        return found
 
     return walk
 
@@ -470,52 +465,41 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     has ``d``'s kinds; and a window equal to a pattern has that pattern's
     kinds.
 
-    The patterns left are looked for in exchange closures, one pass serving
-    them all.  When every one of them is closed (:func:`_pattern_form`) and
-    no slice of ``d`` has coarity 0 (:func:`_local`), each occurrence
-    lies in one wire-connected component of ``d``, so each component whose
-    kinds some pattern needs is matched on its own closure
-    (:func:`_restrict`), and bystanders in other components cost no
-    orders; a match's context is then built by the window-constrained
-    :func:`_lex_min`.  Otherwise the closure is the whole subject's, and a
-    context is read off the first member, in closure order, that holds the
-    match.
+    When ``d`` has more than one wire-connected component, every pattern
+    left is closed (:func:`_pattern_form`) and no slice of ``d`` has
+    coarity 0 (:func:`_local`), the patterns' canonical forms are found by
+    a walk along the wires of ``d``'s canonical form from every slice
+    (:func:`_match_walk`), with no closure, so bystanders in other
+    components cost no orders; a match's context is then built by the
+    window-constrained :func:`_lex_min`.  Any other subject is matched on
+    its exchange closure, one pass serving every pattern, and a context is
+    read off the first member, in closure order, that holds the match.
     """
     if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
     kinds, parent, _ = _wire_walk(d)
-    pats, all_closed = [], True
+    pats = []
     for n, pattern in enumerate(patterns):
-        canon, needs, closed = _pattern_form(pattern)
+        canon, needs, _ = _pattern_form(pattern)
         if needs <= kinds:
-            pats.append((n, canon, needs))
-            all_closed = all_closed and closed
+            pats.append((n, canon))
     if not pats:
         return []
     subject = canonical_form(d)
     found: dict[tuple[int, frozenset[int]], Match] = {}
-    # More than one root in the forest: more than one component.
-    if (sum(map(int.__eq__, parent, range(len(parent)))) > 1
-            and _local(all_closed, d)):
-        roots = _roots(parent)
-        labels = [roots[i] for i in canonical_form_with_ids(d)[1]]
-        for c in dict.fromkeys(labels):
-            part, back = _restrict(subject, labels, c)
-            has = _wire_walk(part)[0]
-            here = [(n, canon) for n, canon, needs in pats if needs <= has]
-            if not here:
-                continue
-            for n, pat, _, ids, _ in _windows(
-                    exchange_closure_with_ids(part), part.input_width, here):
-                window = tuple(back[x] for x in ids)
-                occ = frozenset(window)
+    walk = None
+    if _components(parent) > 1:
+        walk = _match_walk(subject, _pattern_slots(*(pat for _, pat in pats)))
+    if walk is not None:
+        for anchor in range(len(subject)):
+            for (i, occ), window in walk(anchor).items():
+                n, pat = pats[i]
                 if (n, occ) not in found:
                     found[n, occ] = Match(occ, n, partial(
                         _window_context, subject, window, pat))
     else:
-        here = [(n, canon) for n, canon, _ in pats]
         for n, pat, slices, ids, i in _windows(
-                exchange_closure_with_ids(subject), subject.input_width, here):
+                exchange_closure_with_ids(subject), subject.input_width, pats):
             occ = frozenset(ids)
             if (n, occ) not in found:
                 found[n, occ] = Match(occ, n, partial(

@@ -10,11 +10,14 @@ inline in its walks.
 are kept as its reference: on any diagram, ``fronts_cuts`` and
 ``fronts_blocks`` must give the entries, splits and order that ``_cuts`` and
 ``_blocks`` give.
+
+``id_keyed_closure`` and ``occurrences_in`` are the matching oracle: every
+order of an exchange class, and the pattern windows read off them.
 """
 
 from typing import Iterator
 
-from polyrew.diagram import Diagram, Slice
+from polyrew.diagram import Diagram, Slice, canonical_form
 
 
 def _commute(a: Slice, b: Slice) -> bool:
@@ -87,3 +90,48 @@ def fronts_blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
             if block:
                 yield (above, tuple(s for s, _ in block),
                        tuple(s for s, _ in below))
+
+
+def id_keyed_closure(d):
+    """Every ``(slices, ids)`` order of ``d``'s exchange class: the swap
+    search of ``exchange_closure_with_ids``, keyed by the id tuple and the
+    offsets (which fix the slices), so no id order is dropped for repeating
+    another's slice sequence.  An id order alone does not fix the slices:
+    with a coarity-0 generator two paths can place one differently."""
+    start = (tuple(d.slices), tuple(range(len(d.slices))))
+    seen, frontier = {}, [start]
+    while frontier:
+        nxt = []
+        for slices, ids in frontier:
+            key = (ids, tuple(s.offset for s in slices))
+            if key in seen:
+                continue
+            seen[key] = slices, ids
+            for i in range(len(slices) - 1):
+                if _commute(slices[i], slices[i + 1]):
+                    b2, a2 = _swap(slices[i], slices[i + 1])
+                    nxt.append((slices[:i] + (b2, a2) + slices[i + 2:],
+                                ids[:i] + (ids[i + 1], ids[i]) + ids[i + 2:]))
+        frontier = nxt
+    return list(seen.values())
+
+
+def occurrences_in(members, d, patterns):
+    """The ``(pattern index, occurrence set)`` pairs read off each member:
+    a pattern's canonical slices as a window under a uniform offset shift,
+    as ``find_matches`` reads them."""
+    pats = [[(s.gen.name, s.offset) for s in canonical_form(pattern).slices]
+            for pattern in patterns]
+    found = set()
+    for slices, ids in members:
+        w = d.input_width
+        for i, s in enumerate(slices):
+            for n, pat in enumerate(pats):
+                shift = s.offset - pat[0][1]
+                if s.gen.name == pat[0][0] and 0 <= shift <= (
+                        w - patterns[n].input_width) and pat == [
+                        (t.gen.name, t.offset - shift)
+                        for t in slices[i: i + len(pat)]]:
+                    found.add((n, frozenset(ids[i: i + len(pat)])))
+            w += s.gen.coarity - s.gen.arity
+    return found

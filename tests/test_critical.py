@@ -79,7 +79,8 @@ from polyrew.critical import (
 from polyrew.termination import mon_interpretation
 
 from conftest import cup_polygraph, make_as_polygraph, make_mon_polygraph
-from exchange_oracle import _commute, _fronts, _swap
+from exchange_oracle import (
+    _commute, _fronts, _swap, id_keyed_closure, occurrences_in)
 from test_diagram import all_diagrams as every_diagram
 
 
@@ -809,8 +810,11 @@ def walk_pairs(d, patterns):
             for anchor in range(len(d)) for n, occ in walk(anchor)}
 
 
-def matcher_pairs(d, patterns):
-    return {(m.pattern, m.occurrences) for m in find_matches(d, *patterns)}
+def oracle_pairs(d, patterns):
+    """The pairs the closure oracle reads off every order of ``d``'s
+    exchange class, in ``d``'s canonical numbering."""
+    u = canonical_form(d)
+    return occurrences_in(id_keyed_closure(u), u, patterns)
 
 
 def undecided_enumeration(p, monkeypatch):
@@ -849,7 +853,7 @@ def enumeration_candidates(p, monkeypatch):
 
 
 class TestMatchWalk:
-    """The wire walk finds the matcher's pairs wherever it applies."""
+    """The wire walk finds the closure oracle's pairs wherever it applies."""
 
     @pytest.mark.parametrize("preset, max_slices, count", [
         ("mon", 5, 1360), ("sym_prime", 4, 2988), ("br", 4, 2988)])
@@ -860,7 +864,7 @@ class TestMatchWalk:
               if all(s.gen.coarity for s in d.slices)]
         assert len(ds) == count
         for d in ds:
-            assert walk_pairs(d, patterns) == matcher_pairs(d, patterns), (
+            assert walk_pairs(d, patterns) == oracle_pairs(d, patterns), (
                 print_diagram(d))
 
     @pytest.mark.parametrize("preset", list(GOLDEN_ENUMERATION))
@@ -869,7 +873,7 @@ class TestMatchWalk:
         p = get_preset(preset).polygraph
         patterns = [r.lhs for r in p.rules]
         for d in enumeration_candidates(p, monkeypatch):
-            assert walk_pairs(d, patterns) == matcher_pairs(d, patterns), (
+            assert walk_pairs(d, patterns) == oracle_pairs(d, patterns), (
                 print_diagram(d))
 
     def test_undecided_with_coarity0_or_open_patterns(self):

@@ -47,7 +47,7 @@ import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
 from conftest import MU, cup_polygraph
-from exchange_oracle import _commute, _swap
+from exchange_oracle import id_keyed_closure, occurrences_in
 from test_critical import all_diagrams as class_representatives
 from test_critical import counit_polygraph
 from test_diagram import all_diagrams, random_diagram
@@ -161,51 +161,6 @@ class TestFindMatches:
         assert [m.occurrences for m in a] == [m.occurrences for m in b]
 
 
-def id_keyed_closure(d):
-    """Every ``(slices, ids)`` order of ``d``'s exchange class: the swap
-    search of ``exchange_closure_with_ids``, keyed by the id tuple and the
-    offsets (which fix the slices), so no id order is dropped for repeating
-    another's slice sequence.  An id order alone does not fix the slices:
-    with a coarity-0 generator two paths can place one differently."""
-    start = (tuple(d.slices), tuple(range(len(d.slices))))
-    seen, frontier = {}, [start]
-    while frontier:
-        nxt = []
-        for slices, ids in frontier:
-            key = (ids, tuple(s.offset for s in slices))
-            if key in seen:
-                continue
-            seen[key] = slices, ids
-            for i in range(len(slices) - 1):
-                if _commute(slices[i], slices[i + 1]):
-                    b2, a2 = _swap(slices[i], slices[i + 1])
-                    nxt.append((slices[:i] + (b2, a2) + slices[i + 2:],
-                                ids[:i] + (ids[i + 1], ids[i]) + ids[i + 2:]))
-        frontier = nxt
-    return list(seen.values())
-
-
-def occurrences_in(members, d, patterns):
-    """The ``(pattern index, occurrence set)`` pairs read off each member:
-    a pattern's canonical slices as a window under a uniform offset shift,
-    as ``find_matches`` reads them."""
-    pats = [[(s.gen.name, s.offset) for s in canonical_form(pattern).slices]
-            for pattern in patterns]
-    found = set()
-    for slices, ids in members:
-        w = d.input_width
-        for i, s in enumerate(slices):
-            for n, pat in enumerate(pats):
-                shift = s.offset - pat[0][1]
-                if s.gen.name == pat[0][0] and 0 <= shift <= (
-                        w - patterns[n].input_width) and pat == [
-                        (t.gen.name, t.offset - shift)
-                        for t in slices[i: i + len(pat)]]:
-                    found.add((n, frozenset(ids[i: i + len(pat)])))
-            w += s.gen.coarity - s.gen.arity
-    return found
-
-
 def test_find_matches_survives_dropped_id_orders():
     # ``exchange_closure_with_ids`` keeps one id order per slice sequence;
     # over the counit signature some classes have orders it drops.  None
@@ -277,15 +232,15 @@ class TestOneClosurePerSubject:
         assert len(closures) == 1
 
     def test_redex_beside_parallel_mu(self, mon_polygraph, closures):
-        # Each wire-connected component is matched on its own closure, so
-        # the seven bystanders cost no orders: at most one member for the
-        # redex and one for each bystander.
+        # The subject has eight wire-connected components and the sources
+        # are closed, so the walk along wires finds the redex: the seven
+        # bystanders cost no orders, and no closure is built.
         sig = mon_polygraph.signature
         redex = "((mu * id 1) ; mu)"
         _, trace = normalize(parse_diagram(redex + " * mu" * 7, sig),
                              mon_polygraph)
         assert len(trace.steps) == 1
-        assert sum(len(exchange_closure_with_ids(c)) for c in closures) <= 16
+        assert not closures
         d = parse_diagram(redex + " * mu" * 5, sig)
         _, trace = normalize(d, mon_polygraph)
         lhss = [r.lhs for r in mon_polygraph.rules]
@@ -393,9 +348,18 @@ def components(d):
     return len({find(i) for i in range(len(d))})
 
 
+def closed(pattern):
+    """Whether ``pattern`` is connected and no input wire passes through it
+    unconsumed, so that a slice produces each output wire."""
+    wires = [True] * pattern.input_width  # whether the wire is an input
+    for s in pattern.slices:
+        wires[s.offset: s.offset + s.gen.arity] = [False] * s.gen.coarity
+    return components(pattern) == 1 and not any(wires)
+
+
 class TestComponentSplit:
-    """Matching each wire-connected component on its own closure finds the
-    matches and contexts of the whole subject's closure."""
+    """On a subject of several wire-connected components, the walk along
+    wires finds the matches and contexts of the whole subject's closure."""
 
     # The sources are chains; each closed extra has two slices either of
     # which can come first.
@@ -410,14 +374,16 @@ class TestComponentSplit:
                               "delta ; (delta * delta)"]),
     ], ids=["mon", "sym_prime", "cup", "counit"])
     def test_matches_whole_closure(self, p, extra, monkeypatch):
-        split = []
-        restrict = polyrew.rewrite._restrict
+        closures = []
+        build = polyrew.rewrite.exchange_closure_with_ids
 
-        def counting(*args):
-            split.append(args)
-            return restrict(*args)
+        def counting(d):
+            closures.append(d)
+            return build(d)
 
-        monkeypatch.setattr(polyrew.rewrite, "_restrict", counting)
+        monkeypatch.setattr(polyrew.rewrite, "exchange_closure_with_ids",
+                            counting)
+        walked = eps_closures = 0
         sig = p.signature
         sources = [r.lhs for r in p.rules]
         extra = [parse_diagram(e, sig) for e in extra]
@@ -442,15 +408,23 @@ class TestComponentSplit:
             for pats in (range(k), [*range(k), k + rng.randrange(len(extra))],
                          range(k, k + len(extra))):
                 index = {n: k for k, n in enumerate(pats)}
-                got = [(m.pattern, m.occurrences, m.context) for m in
-                       find_matches(d, *[(sources + extra)[n] for n in pats])]
+                chosen = [(sources + extra)[n] for n in pats]
+                del closures[:]
+                got = [(m.pattern, m.occurrences, m.context)
+                       for m in find_matches(d, *chosen)]
                 assert got == [(index[n], occ, ctx) for n, occ, ctx in want
                                if n in index], print_diagram(d)
+                # Closed patterns and no coarity 0: the walk, no closure.
+                if all(map(closed, chosen)) and all(
+                        s.gen.coarity for s in d.slices):
+                    assert not closures, print_diagram(d)
+                    walked += 1
+                eps_closures += any(s.gen.name == "eps"
+                                    for c in closures for s in c.slices)
         if p.signature.name == "Counit":
-            assert not any(s.gen.name == "eps" for args in split
-                           for s in args[0].slices)
+            assert eps_closures
         else:
-            assert split
+            assert walked
 
     def test_window_takes_the_patterns_order(self, mon_polygraph):
         # The pattern's canonical order emits its mu before its eta; the
@@ -463,6 +437,13 @@ class TestComponentSplit:
                for m in find_matches(d, pat)]
         assert len(got) == 1
         assert got == unfiltered_matches(d, pat)
+        # Four units fed into two mu: the window must list the occurrences
+        # in the pattern's canonical order, or no representative has it.
+        d = parse_diagram("eta ; (eta * id 1) ; (eta * id 2) ; (eta * id 3)"
+                          " ; (mu * id 2) ; (mu * id 1)", sig)
+        got = [(m.pattern, m.occurrences, m.context)
+               for m in find_matches(d, pat)]
+        assert got and got == unfiltered_matches(d, pat)
 
 
 class TestSteps:
