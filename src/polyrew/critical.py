@@ -6,12 +6,12 @@ common block: wherever blocks read off the exchange cuts of the two are
 equal modulo exchange and a horizontal shift, one whole source replaces
 the block in the other.  Entangled sources, where a slice outside both
 redexes is stuck between them, come from splicing into each padded
-overlap one slice that stays stuck between its neighbours.  Each
-candidate is settled by a walk along its wires from its end slices: it
-needs two distinct, overlapping matches whose union covers the ends.  A
-spliced candidate the walk rejects is neither canonicalized nor matched;
-the matcher runs on the survivors, which are trimmed and deduplicated by
-canonical form.  The candidates are validated against an independent
+overlap one slice that stays stuck between its neighbours.  A candidate's
+pairs are read off a walk along its wires from its end slices: two
+distinct, overlapping matches whose union covers the ends.  A splice with
+none is neither canonicalized nor framed; the matcher, and its exchange
+closure, run only where the walk does not apply.  The others are trimmed
+and deduplicated by canonical form, and validated against an independent
 exhaustive search on the small presets in the test suite.
 
 ``s_construction`` extends an algebraic presentation (all generators of
@@ -27,7 +27,7 @@ homotopy basis of the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .diagram import (
     Diagram,
@@ -56,6 +56,7 @@ from .rewrite import (
     Trace,
     _match_walk,
     _pattern_slots,
+    _window_context,
     compose_traces,
     find_matches,
     invert_trace,
@@ -224,35 +225,31 @@ def _tight(slices) -> Diagram:
 
 
 @lru_cache(maxsize=1 << 6)
-def _source_slots(p: Polygraph) -> dict | None:
-    """The slots of ``p``'s rule sources (:func:`_pattern_slots`)."""
-    return _pattern_slots(*(r.lhs for r in p.rules))
+def _source_slots(p: Polygraph) -> tuple[tuple[Diagram, ...], dict | None]:
+    """The canonical forms of ``p``'s rule sources and their slots."""
+    sources = tuple(canonical_form(r.lhs) for r in p.rules)
+    return sources, _pattern_slots(*sources)
 
 
-def _covering_pair(p: Polygraph, d: Diagram, ends) -> bool | None:
-    """Whether ``d`` holds two distinct, overlapping matches of ``p``'s rule
-    sources whose union covers ``ends``, ``_ends(d)``: decided by walking
-    along wires from the ends (:func:`~polyrew.rewrite._match_walk`), or
-    ``None`` where that walk does not apply.
+def _pairs(holding, ends):
+    """Each pair of distinct, overlapping matches whose union covers
+    ``ends``, as ``(pattern index, occurrence set)`` keys, where
+    ``holding(x)`` gives the keys of the matches that hold slice ``x``.
 
     One match of such a pair holds the least end.  The other holds the
     least end the first misses or, when it misses none, overlaps it, and so
-    holds one of its slices.
+    holds one of its slices.  A pair may come more than once, either way.
     """
-    walk = _match_walk(d, _source_slots(p))
-    if walk is None:
-        return None
     if not ends:
-        return False
-    for first in walk(min(ends)):
+        return
+    for first in holding(min(ends)):
         occ = first[1]
         missed = ends - occ
         for x in (min(missed),) if missed else occ:
-            for second in walk(x):
+            for second in holding(x):
                 if (second != first and occ & second[1]
                         and ends <= occ | second[1]):
-                    return True
-    return False
+                    yield first, second
 
 
 def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
@@ -273,39 +270,37 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     first or last) from walking each slice alone up and down through its
     neighbours (``_ends``); a pair is minimal when its union covers ``ends``.
 
-    A source is settled by the walk (:func:`_covering_pair`) before the
-    matcher runs: when it holds no two distinct, overlapping matches
-    covering ``ends``, the answer is ``[]``; the matcher runs on the
-    survivors, and on every source where the walk does not apply.
+    The pairs are read off the walk along ``u``'s wires (:func:`_pairs`),
+    each chosen match framed by its window from its least slice, as in
+    :func:`find_matches`; where the walk does not apply, off the slices of
+    :func:`find_matches`' matches.  Pairs keep the order of the matches.
     """
     u = canonical_form(u)
     if any(_outer_whiskers(u)):
         return []
-    ends = _ends(u)
-    if _covering_pair(p, u, ends) is False:
-        return []
-    matches = [(p.rules[m.pattern], m)
-               for m in find_matches(u, *(r.lhs for r in p.rules))]
+    sources, slots = _source_slots(p)
+    walk = _match_walk(u, slots)
+    if walk is None:
+        held: dict[int, dict] = {}
+        for m in find_matches(u, *(r.lhs for r in p.rules)):
+            for x in m.occurrences:
+                held.setdefault(x, {})[m.pattern, m.occurrences] = m
+        holding = lambda x: held.get(x, {})
+        frame = lambda key: holding(min(key[1]))[key].context
+    else:
+        holding = cache(walk)
+        frame = lambda key: _window_context(
+            u, holding(min(key[1]))[key], sources[key[0]])
+    order = lambda key: (key[0], sorted(key[1]))
+    pairs = {tuple(sorted(pair, key=order))
+             for pair in _pairs(holding, _ends(u))}
     out = []
-    for i, (r1, m1) in enumerate(matches):
-        for r2, m2 in matches[i + 1:]:
-            if not (m1.occurrences & m2.occurrences):
-                continue
-            if not ends <= m1.occurrences | m2.occurrences:
-                continue
-            first, second = sorted(
-                ((r1, m1), (r2, m2)),
-                key=lambda rm: (rm[0].name, rm[1].key()),
-            )
-            out.append(
-                Branching(
-                    u,
-                    Step(first[0], "forward", first[1].context),
-                    Step(second[0], "forward", second[1].context),
-                    first[1].occurrences,
-                    second[1].occurrences,
-                )
-            )
+    for pair in sorted(pairs, key=lambda pair: list(map(order, pair))):
+        first, second = sorted(
+            pair, key=lambda key: (p.rules[key[0]].name, sorted(key[1])))
+        steps = (Step(p.rules[key[0]], "forward", frame(key))
+                 for key in (first, second))
+        out.append(Branching(u, *steps, first[1], second[1]))
     return out
 
 
@@ -337,21 +332,22 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     """All critical branchings of ``p``, deduplicated and in canonical order.
 
     Candidate sources are generated in two phases.  Every candidate is
-    settled by the walk (:func:`_covering_pair`), and the matcher and the
-    minimality test run on the survivors, so generation is heuristic but
-    acceptance is not.  Phase 1 glues pairs of rule sources along a common
-    block (all overlap-type branchings, where the source is the union of
-    the two redexes): the splits of every rule source (``_blocks``) are
-    grouped by tight block modulo exchange, and each ordered pair of splits
-    in a group gives ``above2 ; above1 ; block1 ; below1 ; below2``,
-    shifted so that the blocks coincide.  Phase 2 walks the cuts of each
-    phase-1 source, padded once, and splices in one stuck slice
-    (``_stuck_splices``), to catch entangled branchings whose source
-    strictly contains the union — e.g. the wide Yang–Baxter self-overlap.
-    The walk settles each splice as built, so a rejected one is neither
-    canonicalized nor matched.  Completeness is bounded: branchings needing
-    two or more stuck slices are missed, and such branchings exist (perm
-    has three ``yb``/``yb`` ones, pinned in the test suite).  With a
+    settled by :func:`critical_pairs_on`, whose pairs the walk along wires
+    reads (:func:`_pairs`) with the minimality test, so generation is
+    heuristic but acceptance is not.  Phase 1 glues pairs of rule sources
+    along a common block (all overlap-type branchings, where the source is
+    the union of the two redexes): the splits of every rule source
+    (``_blocks``) are grouped by tight block modulo exchange, and each
+    ordered pair of splits in a group gives
+    ``above2 ; above1 ; block1 ; below1 ; below2``, shifted so that the
+    blocks coincide.  Phase 2 walks the cuts of each phase-1 source, padded
+    once, and splices in one stuck slice (``_stuck_splices``), to catch
+    entangled branchings whose source strictly contains the union — e.g.
+    the wide Yang–Baxter self-overlap.  Each splice is tested as built
+    (:func:`_pairs` on its own walk), so one with no covering pair is
+    neither canonicalized nor framed.  Completeness is bounded: branchings
+    needing two or more stuck slices are missed, and such branchings exist
+    (perm has three ``yb``/``yb`` ones, pinned in the test suite).  With a
     coarity-0 generator in a rule source, an exchange can have two results
     that ``_cuts`` reads as one, so phase 1 can miss a gluing and its
     branching (pinned in the test suite); no preset has such a generator.
@@ -385,10 +381,11 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
                     + tuple(s.shifted(l2) for s in below2)
                 ))
     # Phase 2: entangled sources, one stuck slice beyond the union.
-    gens = p.signature.all_generators()
+    gens, slots = p.signature.all_generators(), _source_slots(p)[1]
     for br in list(found):
         for variant in _stuck_splices(br.source, gens):
-            if _covering_pair(p, variant, _ends(variant)) is not False:
+            walk = _match_walk(variant, slots)
+            if walk is None or any(_pairs(walk, _ends(variant))):
                 consider(variant)
     found.sort(
         key=lambda br: (

@@ -648,7 +648,8 @@ def parse_polygraph(text: str, name: str = "polygraph") -> Polygraph:
             rule_lines.append((m.group(1), m.group(2), m.group(3)))
             continue
         raise RewriteError(f"cannot parse polygraph line {lineno}: {raw!r}")
-    sig = Signature(name, tuple(g for g in gens if g.name != "tau"), is_prop=is_prop)
+    sig = Signature(name, tuple(g for g in gens if not is_prop or g.name != "tau"),
+                    is_prop=is_prop)
     rules = tuple(
         Rule(rname, parse_diagram(lhs, sig), parse_diagram(rhs, sig))
         for rname, lhs, rhs in rule_lines

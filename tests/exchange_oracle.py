@@ -13,11 +13,15 @@ are kept as its reference: on any diagram, ``fronts_cuts`` and
 
 ``id_keyed_closure`` and ``occurrences_in`` are the matching oracle: every
 order of an exchange class, and the pattern windows read off them.
+``unfiltered_matches`` is the context oracle: the closure scan that
+``find_matches`` once ran on every subject.
 """
 
 from typing import Iterator
 
-from polyrew.diagram import Diagram, Slice, canonical_form
+from polyrew.diagram import (
+    Diagram, Slice, canonical_form, exchange_closure_with_ids)
+from polyrew.rewrite import Context
 
 
 def _commute(a: Slice, b: Slice) -> bool:
@@ -135,3 +139,34 @@ def occurrences_in(members, d, patterns):
                     found.add((n, frozenset(ids[i: i + len(pat)])))
             w += s.gen.coarity - s.gen.arity
     return found
+
+
+def unfiltered_matches(d, *patterns):
+    """``(pattern, occurrences, context)`` of every match: the closure scan
+    of ``find_matches`` over every pattern, with no wire-kind test, building
+    each context where the match is first found."""
+    subject = canonical_form(d)
+    pats = [canonical_form(pattern) for pattern in patterns]
+    found = {}
+    for slices, ids in exchange_closure_with_ids(subject):
+        widths = [subject.input_width]
+        for s in slices:
+            widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
+        for n, pat in enumerate(pats):
+            k = len(pat)
+            for i in range(len(slices) - k + 1):
+                shift = slices[i].offset - pat.slices[0].offset
+                right = widths[i] - shift - pat.input_width
+                if shift < 0 or right < 0 or any(
+                        slices[i + j].gen != pat.slices[j].gen
+                        or slices[i + j].offset != pat.slices[j].offset + shift
+                        for j in range(k)):
+                    continue
+                key = (n, frozenset(ids[i: i + k]))
+                if key not in found:
+                    found[key] = Context(
+                        Diagram(subject.input_width, slices[:i]), shift, right,
+                        Diagram(widths[i] - pat.input_width + pat.output_width,
+                                slices[i + k:]))
+    return sorted(((n, occ, ctx) for (n, occ), ctx in found.items()),
+                  key=lambda m: (m[0], sorted(m[1])))

@@ -568,6 +568,20 @@ class TestExport:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_tau_outside_a_prop_exits_2(self, capsys, tmp_path):
+        # Only a prop has ``tau`` built in, so only a prop drops its
+        # declaration; elsewhere the signature rejects it.
+        rules = "gen mu : 2 -> 1\ngen tau : 2 -> 2\nrule r : tau ; tau => id 2\n"
+        poly = tmp_path / "tau.poly"
+        poly.write_text(rules)
+        code, out, err = run(capsys, "critical", "--polygraph", str(poly))
+        assert (code, out) == (2, "")
+        assert err == "error: tau present but signature is not a prop\n"
+        poly.write_text("prop\n" + rules)
+        code, out, _ = run(capsys, "export", "--polygraph", str(poly))
+        assert code == 0
+        assert out == "prop\ngen mu : 2 -> 1\nrule r : tau ; tau => id 2\n"
+
     def test_file_polygraph_input(self, capsys, tmp_path):
         poly = tmp_path / "as.poly"
         poly.write_text(print_polygraph(get_preset("as").polygraph))

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import polyrew.rewrite
 from polyrew import critical
 from polyrew.coherence import get_preset
 from polyrew.diagram import (
@@ -44,6 +45,7 @@ from polyrew.rewrite import (
     Rule,
     _match_walk,
     _pattern_slots,
+    _window_context,
     find_matches,
     normalize,
     parse_polygraph,
@@ -80,7 +82,8 @@ from polyrew.termination import mon_interpretation
 
 from conftest import cup_polygraph, make_as_polygraph, make_mon_polygraph
 from exchange_oracle import (
-    _commute, _fronts, _swap, id_keyed_closure, occurrences_in)
+    _commute, _fronts, _swap, id_keyed_closure, occurrences_in,
+    unfiltered_matches)
 from test_diagram import all_diagrams as every_diagram
 
 
@@ -810,6 +813,18 @@ def walk_pairs(d, patterns):
             for anchor in range(len(d)) for n, occ in walk(anchor)}
 
 
+def walk_contexts(d, patterns):
+    """``(pattern, occurrences, context)`` of each match the walk finds on
+    ``d``'s canonical form, framed as ``critical_pairs_on`` frames it: by
+    the window the walk from the match's least slice finds."""
+    u = canonical_form(d)
+    pats = [canonical_form(pattern) for pattern in patterns]
+    walk = _match_walk(u, _pattern_slots(*pats))
+    keys = {key for anchor in range(len(u)) for key in walk(anchor)}
+    return sorted(((n, occ, _window_context(u, walk(min(occ))[n, occ], pats[n]))
+                   for n, occ in keys), key=lambda m: (m[0], sorted(m[1])))
+
+
 def oracle_pairs(d, patterns):
     """The pairs the closure oracle reads off every order of ``d``'s
     exchange class, in ``d``'s canonical numbering."""
@@ -818,9 +833,10 @@ def oracle_pairs(d, patterns):
 
 
 def undecided_enumeration(p, monkeypatch):
-    """The enumeration with the walk's decision left to the matcher."""
+    """The enumeration with no wire walk: every candidate's pairs are read
+    off the matcher's matches, and every context is the matcher's."""
     with monkeypatch.context() as m:
-        m.setattr(critical, "_covering_pair", lambda *args: None)
+        m.setattr(critical, "_match_walk", lambda *args: None)
         return enumerate_critical_branchings(p)
 
 
@@ -866,6 +882,10 @@ class TestMatchWalk:
         for d in ds:
             assert walk_pairs(d, patterns) == oracle_pairs(d, patterns), (
                 print_diagram(d))
+            # The window framed as ``critical_pairs_on`` frames it gives the
+            # closure scan's context, on one component or several.
+            assert walk_contexts(d, patterns) == unfiltered_matches(
+                d, *patterns), print_diagram(d)
 
     @pytest.mark.parametrize("preset", list(GOLDEN_ENUMERATION))
     def test_enumeration_candidates_match_the_matcher(
@@ -886,29 +906,35 @@ class TestMatchWalk:
 
 
 def test_walk_decision_keeps_enumeration(monkeypatch):
-    # With the walk deciding nothing, every candidate goes to the matcher,
-    # as before the walk; the branchings, their steps and order must agree.
+    # Without the walk, every candidate goes to the matcher, as before the
+    # walk: the branchings, their steps, contexts and order must agree.
     for k, p in enumerate([counit_polygraph(), cup_polygraph(),
                            coarity0_pair(), *random_polygraphs(2026, 150)]):
         assert repr(enumerate_critical_branchings(p)) == repr(
             undecided_enumeration(p, monkeypatch)), k
 
 
-@pytest.mark.parametrize("preset", ["sym", "sym_prime"])
-def test_matcher_runs_on_a_fifth_of_the_splices(monkeypatch, preset):
+@pytest.mark.parametrize("preset", list(GOLDEN_ENUMERATION))
+def test_enumeration_never_runs_the_matcher(monkeypatch, preset):
+    # Every preset rule source is closed and no preset generator has
+    # coarity 0, so the walk reads every candidate's pairs and windows,
+    # splices included: no match list and no exchange closure is built.
     p = get_preset(preset).polygraph
     raw, calls = [], []
-    matcher = critical.find_matches
 
-    def count(*args):
-        calls.append(args)
-        return matcher(*args)
+    def counting(name, f):
+        def count(*args):
+            calls.append(name)
+            return f(*args)
+        return count
 
     monkeypatch.setattr(critical, "_stuck_splices", recording_splices(raw))
-    monkeypatch.setattr(critical, "find_matches", count)
-    enumerate_critical_branchings(p)
-    distinct = {(d.input_width, canonical_form(d).slices) for d in raw}
-    assert 5 * len(calls) <= len(distinct)
+    monkeypatch.setattr(critical, "find_matches",
+                        counting("find_matches", critical.find_matches))
+    monkeypatch.setattr(polyrew.rewrite, "exchange_closure_with_ids", counting(
+        "closure", polyrew.rewrite.exchange_closure_with_ids))
+    assert enumerate_critical_branchings(p)
+    assert raw and not calls
 
 
 def slice_orders(d):

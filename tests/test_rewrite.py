@@ -15,7 +15,6 @@ from polyrew.diagram import (
     canonical_form,
     diagram_equal,
     exchange_closure,
-    exchange_closure_with_ids,
     hcomp,
     identity,
     parse_diagram,
@@ -47,7 +46,8 @@ import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
 from conftest import MU, cup_polygraph
-from exchange_oracle import id_keyed_closure, occurrences_in
+from exchange_oracle import (
+    id_keyed_closure, occurrences_in, unfiltered_matches)
 from test_critical import all_diagrams as class_representatives
 from test_critical import counit_polygraph
 from test_diagram import all_diagrams, random_diagram
@@ -226,10 +226,12 @@ class TestOneClosurePerSubject:
         assert len(trace.steps) == 1
         assert len(closures) == 1
 
-    def test_critical_pairs_on_builds_one_closure(self, mon_polygraph, closures):
+    def test_critical_pairs_on_builds_no_closure(self, mon_polygraph, closures):
+        # The sources are closed, so the pair and its contexts are read off
+        # the walk along wires.
         d = parse_diagram("(mu * id 2) ; (mu * id 1) ; mu", mon_polygraph.signature)
         assert len(critical_pairs_on(mon_polygraph, d)) == 1
-        assert len(closures) == 1
+        assert not closures
 
     def test_redex_beside_parallel_mu(self, mon_polygraph, closures):
         # The subject has eight wire-connected components and the sources
@@ -245,37 +247,6 @@ class TestOneClosurePerSubject:
         _, trace = normalize(d, mon_polygraph)
         lhss = [r.lhs for r in mon_polygraph.rules]
         assert trace.steps[0].context == unfiltered_matches(d, *lhss)[0][2]
-
-
-def unfiltered_matches(d, *patterns):
-    """``(pattern, occurrences, context)`` of every match: the closure scan
-    of ``find_matches`` over every pattern, with no wire-kind test, building
-    each context where the match is first found."""
-    subject = canonical_form(d)
-    pats = [canonical_form(pattern) for pattern in patterns]
-    found = {}
-    for slices, ids in exchange_closure_with_ids(subject):
-        widths = [subject.input_width]
-        for s in slices:
-            widths.append(widths[-1] - s.gen.arity + s.gen.coarity)
-        for n, pat in enumerate(pats):
-            k = len(pat)
-            for i in range(len(slices) - k + 1):
-                shift = slices[i].offset - pat.slices[0].offset
-                right = widths[i] - shift - pat.input_width
-                if shift < 0 or right < 0 or any(
-                        slices[i + j].gen != pat.slices[j].gen
-                        or slices[i + j].offset != pat.slices[j].offset + shift
-                        for j in range(k)):
-                    continue
-                key = (n, frozenset(ids[i: i + k]))
-                if key not in found:
-                    found[key] = Context(
-                        Diagram(subject.input_width, slices[:i]), shift, right,
-                        Diagram(widths[i] - pat.input_width + pat.output_width,
-                                slices[i + k:]))
-    return sorted(((n, occ, ctx) for (n, occ), ctx in found.items()),
-                  key=lambda m: (m[0], sorted(m[1])))
 
 
 class TestWireKinds:
