@@ -24,9 +24,9 @@ one, the single-swap relation is not symmetric, and equal 2-cells can get
 different canonical forms.  Over ``eta : 0 -> 1``, ``delta : 1 -> 2`` and
 ``eps : 1 -> 0``, the closure of ``eta ; delta ; (eta * id 2) ; (eps * id
 2)`` holds ``eta ; eps ; eta ; delta``, whose own closure does not hold the
-first, and ``diagram_equal`` calls the two different.  ``exchange_closure``
-computes the full class by brute force; it serves as the correctness oracle
-for the canonical form and as the completeness backbone of pattern matching.
+first, and ``diagram_equal`` calls the two different.
+``exchange_closure_with_ids`` computes the full class by brute force; it is
+the matcher's fallback where the walk along wires does not apply.
 
 Generators are interned: one ``GeneratorSym`` exists per ``(name, arity,
 coarity)``, kept in a plain dict that grows only with the distinct
@@ -629,9 +629,9 @@ def diagram_equal(d1: Diagram, d2: Diagram) -> bool:
 def exchange_closure_with_ids(d: Diagram) -> list[tuple[tuple[Slice, ...], tuple[int, ...]]]:
     """All exchange representatives of ``d``, each with its slice-index permutation.
 
-    Brute-force breadth-first closure under single adjacent swaps.  Used as
-    the oracle for ``canonical_form`` and as the search space for pattern
-    matching; intended for diagrams of modest size (≲ 10 slices).
+    Brute-force breadth-first closure under single adjacent swaps.  The
+    search space of pattern matching where the walk along wires does not
+    apply; intended for diagrams of modest size (≲ 10 slices).
     """
     start = (tuple(d.slices), tuple(range(len(d.slices))))
     seen: dict[tuple[Slice, ...], tuple[int, ...]] = {start[0]: start[1]}
@@ -654,11 +654,6 @@ def exchange_closure_with_ids(d: Diagram) -> list[tuple[tuple[Slice, ...], tuple
         seen.items(),
         key=lambda item: tuple((s.offset, s.gen.name) for s in item[0]),
     )
-
-
-def exchange_closure(d: Diagram) -> list[tuple[Slice, ...]]:
-    """The set of slice sequences exchange-equivalent to ``d``."""
-    return [slices for slices, _ in exchange_closure_with_ids(d)]
 
 
 # -- parsing and printing -------------------------------------------------

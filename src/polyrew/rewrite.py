@@ -6,24 +6,23 @@ A :class:`Step` is a whiskered application of a rule (or of its inverse) in a
 one-hole :class:`Context`, and a :class:`Trace` — a source diagram plus a
 sequence of steps — represents a 3-cell of the free track 3-category.
 
-Matching works modulo exchange: an exchange closure is enumerated once, and
-every pattern's canonical slice sequence is looked up in each member as a
-consecutive window under a uniform offset shift, so one closure pass serves
-all the rules of a polygraph.  This is exponential in the number of
-commuting slices but complete, which is what the critical-pair machinery
-needs.  Before any closure is built, each pattern is tested against the
+Matching works modulo exchange.  Each pattern is first tested against the
 subject's *wire kinds*: its generator names, and which output port of which
 generator feeds which input port of which.  Exchange keeps those, so a
-pattern with a kind the subject lacks cannot match and is skipped; when
-every pattern is skipped, no closure is built.  The same walk finds the
-subject's wire-connected components.  When every pattern left is connected
-and has no pass-through wire, and no slice has coarity 0, each match is a
-convex, wire-connected set of slices, so a walk along wires from one slice
-lists the matches that hold it without any closure.  A subject of more than
-one component is matched that way, so generators beside a redex cost no
-orders, and critical-pair enumeration settles its candidates that way; any
-other subject is matched on its whole closure.  A match builds its context
-only when it is read, the same on either path.
+pattern with a kind the subject lacks cannot match and is skipped.  The
+same pass finds the subject's wire-connected components.  When every
+pattern left is closed (connected, with no pass-through wire) and no slice
+has coarity 0, each match is a convex, wire-connected set of slices, so a
+walk along wires from one slice lists the matches that hold it.  The walk's
+own layout of the patterns decides the first condition, and the walk the
+second.  A subject of more than one component is matched that way, so
+generators beside a redex cost no orders, and critical-pair enumeration
+settles its candidates that way.  The fallback is the exchange closure: it
+is enumerated once, and every pattern's canonical slice sequence is looked
+up in each member as a consecutive window under a uniform offset shift, so
+one pass serves all the rules of a polygraph.  It is exponential in the
+number of commuting slices, but complete.  A match builds its context only
+when it is read, the same on either path.
 
 Normalization applies the first match of the first applicable rule in
 declaration order.  Matches are ordered by their occurrence sets in canonical
@@ -47,7 +46,6 @@ from .diagram import (
     canonical_form,
     diagram_equal,
     exchange_closure_with_ids,
-    identity,
     parse_diagram,
     print_diagram,
     vcomp,
@@ -164,12 +162,6 @@ class Context:
         return vcomp(self.top, middle, self.bottom)
 
 
-def identity_context(pattern: Diagram) -> Context:
-    return Context(
-        identity(pattern.input_width), 0, 0, identity(pattern.output_width)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Match:
     """A found occurrence of a pattern: the matched slots, and its context.
@@ -206,15 +198,14 @@ class Match:
         return tuple(sorted(self.occurrences))
 
 
-def _wire_walk(d: Diagram) -> tuple[set, list[int], list]:
-    """One pass over the slices of ``d``: its wire kinds, a union-find forest
-    over its slices, and what feeds each output wire.
+def _wire_walk(d: Diagram) -> tuple[set, list[int]]:
+    """One pass over the slices of ``d``: its wire kinds and a union-find
+    forest over its slices.
 
     The kinds are the generator names of ``d``, plus ``(g, p, h, q)`` for
     each inner wire from output ``p`` of a ``g`` to input ``q`` of an ``h``.
-    In the forest, ``parent``, two slices joined by a wire have one root.
-    Each output wire is fed by ``(slice, generator name, port)``, or by
-    ``None`` when no slice produces it: an input wire passes through.
+    In the forest, ``parent``, two slices joined by a wire have one root,
+    so its roots are ``d``'s wire-connected components.
     """
     kinds = set()
     parent = []
@@ -232,18 +223,12 @@ def _wire_walk(d: Diagram) -> tuple[set, list[int], list]:
                     parent[j] = j = parent[parent[j]]
                 parent[j] = i
         wires[o: o + g.arity] = [(i, name, p) for p in range(g.coarity)]
-    return kinds, parent, wires
+    return kinds, parent
 
 
 def _wire_kinds(d: Diagram) -> frozenset:
     """The wire kinds of ``d`` (see :func:`_wire_walk`)."""
     return frozenset(_wire_walk(d)[0])
-
-
-def _components(parent: list[int]) -> int:
-    """The number of trees in the forest ``parent`` (:func:`_wire_walk`):
-    the wire-connected components of its diagram."""
-    return sum(map(int.__eq__, parent, range(len(parent))))
 
 
 def _ports(d: Diagram) -> tuple[list, list]:
@@ -264,19 +249,17 @@ def _ports(d: Diagram) -> tuple[list, list]:
 
 
 @lru_cache(maxsize=1 << 12)
-def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset, bool]:
-    """A pattern's canonical form and wire kinds, and whether it is closed:
-    connected, with every input wire consumed and every output wire produced
-    by one of its slices.  Built once per pattern."""
-    kinds, parent, wires = _wire_walk(pattern)
-    closed = _components(parent) == 1 and None not in wires
-    return canonical_form(pattern), frozenset(kinds), closed
+def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset]:
+    """A pattern's canonical form and wire kinds, built once per pattern."""
+    return canonical_form(pattern), _wire_kinds(pattern)
 
 
 @lru_cache(maxsize=1 << 8)
 def _pattern_slots(*patterns: Diagram) -> dict | None:
     """Where each generator sits in ``patterns``, for :func:`_match_walk`;
-    None unless every pattern is closed (:func:`_pattern_form`).
+    None unless every pattern is closed: it has no pass-through wire, so
+    each output wire is an unconsumed output of one of its slices, and the
+    walk from one slice reaches every slice.
 
     A slot is ``(pattern index, slice, steps, checks, outputs)``: the
     pattern's wires (:func:`_ports`) walked breadth first from that slice.
@@ -286,14 +269,14 @@ def _pattern_slots(*patterns: Diagram) -> dict | None:
     wire no step took.  ``outputs`` are the ``(slice, port)`` pairs that
     feed an output wire of the pattern.
     """
-    if not all(_pattern_form(pattern)[2] for pattern in patterns):
-        return None
     slots = {}
     for n, pattern in enumerate(patterns):
         gens = [s.gen for s in pattern.slices]
         feeds, consumers = _ports(pattern)
         outputs = [(a, p) for a, links in enumerate(consumers)
                    for p, w in enumerate(links) if w is None]
+        if len(outputs) < pattern.output_width:
+            return None
         for t, g in enumerate(gens):
             steps, checks, order, taken = [], [], [t], set()
             for a in order:  # grows as the walk reaches slices
@@ -312,17 +295,10 @@ def _pattern_slots(*patterns: Diagram) -> dict | None:
                         else:
                             order.append(u)
                             steps.append((a, down, port, u, uport, gens[u]))
+            if len(order) < len(gens):
+                return None
             slots.setdefault(g, []).append((n, t, steps, checks, outputs))
     return slots
-
-
-def _local(closed: bool, d: Diagram) -> bool:
-    """Whether matches in ``d`` are local: the patterns are ``closed``
-    (:func:`_pattern_form`) and no slice of ``d`` has coarity 0, with which
-    exchange is not symmetric.  Then each match is a convex, wire-connected
-    set of slices of ``d``, so it lies in one component and a walk along
-    wires finds it."""
-    return closed and all(s.gen.coarity for s in d.slices)
 
 
 def _match_walk(d: Diagram, slots: dict | None):
@@ -330,8 +306,10 @@ def _match_walk(d: Diagram, slots: dict | None):
     ``(pattern index, occurrence set)`` pair of each match that holds it,
     of the patterns laid out in ``slots`` (:func:`_pattern_slots`), to the
     match's window: its occurrences in the order of the pattern's slices.
-    ``None`` where it does not apply (:func:`_local`).  Occurrences are
-    indices into ``d.slices``.
+    Occurrences are indices into ``d.slices``.  ``None`` where it does not
+    apply: ``slots`` is None, or a slice of ``d`` has coarity 0, with which
+    exchange is not symmetric.  Otherwise each match is a convex,
+    wire-connected set of slices of ``d``, so a walk along wires finds it.
 
     Each slice's feeds and consumers are read once (:func:`_ports`).  From
     the anchor, set on each pattern slice of its generator in turn, the
@@ -342,7 +320,7 @@ def _match_walk(d: Diagram, slots: dict | None):
     some exchange representative, so the pairs are those of
     :func:`find_matches` on ``d``'s canonical form, renumbered.
     """
-    if not _local(slots is not None, d):
+    if slots is None or not all(s.gen.coarity for s in d.slices):
         return None
     gens = [s.gen for s in d.slices]
     feeds, consumers = _ports(d)
@@ -465,22 +443,22 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     has ``d``'s kinds; and a window equal to a pattern has that pattern's
     kinds.
 
-    When ``d`` has more than one wire-connected component, every pattern
-    left is closed (:func:`_pattern_form`) and no slice of ``d`` has
-    coarity 0 (:func:`_local`), the patterns' canonical forms are found by
-    a walk along the wires of ``d``'s canonical form from every slice
-    (:func:`_match_walk`), with no closure, so bystanders in other
-    components cost no orders; a match's context is then built by the
-    window-constrained :func:`_lex_min`.  Any other subject is matched on
-    its exchange closure, one pass serving every pattern, and a context is
-    read off the first member, in closure order, that holds the match.
+    When ``d`` has more than one wire-connected component, the patterns
+    left are found by a walk along the wires of ``d``'s canonical form from
+    every slice (:func:`_match_walk`), with no closure, so bystanders in
+    other components cost no orders; a match's context is then built by the
+    window-constrained :func:`_lex_min`.  The walk decides where it applies:
+    every pattern closed (:func:`_pattern_slots`) and no slice of ``d`` of
+    coarity 0.  The exchange closure is the fallback: any other subject is
+    matched on it, one pass serving every pattern, and a context is read
+    off the first member, in closure order, that holds the match.
     """
     if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
-    kinds, parent, _ = _wire_walk(d)
+    kinds, parent = _wire_walk(d)
     pats = []
     for n, pattern in enumerate(patterns):
-        canon, needs, _ = _pattern_form(pattern)
+        canon, needs = _pattern_form(pattern)
         if needs <= kinds:
             pats.append((n, canon))
     if not pats:
@@ -488,7 +466,7 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     subject = canonical_form(d)
     found: dict[tuple[int, frozenset[int]], Match] = {}
     walk = None
-    if _components(parent) > 1:
+    if sum(map(int.__eq__, parent, range(len(parent)))) > 1:  # components
         walk = _match_walk(subject, _pattern_slots(*(pat for _, pat in pats)))
     if walk is not None:
         for anchor in range(len(subject)):

@@ -1,10 +1,19 @@
 import pytest
 
-from polyrew.diagram import GeneratorSym, Signature, TAU, parse_diagram
-from polyrew.rewrite import Polygraph, Rule
+from polyrew.diagram import (
+    Diagram, GeneratorSym, Signature, TAU, identity, parse_diagram)
+from polyrew.rewrite import Context, Polygraph, Rule
 
 MU = GeneratorSym("mu", 2, 1)
 ETA = GeneratorSym("eta", 0, 1)
+
+
+def identity_context(pattern: Diagram) -> Context:
+    """The context that frames ``pattern`` alone: identities above and
+    below, no whiskers."""
+    return Context(
+        identity(pattern.input_width), 0, 0, identity(pattern.output_width)
+    )
 
 
 def make_mon_polygraph() -> Polygraph:

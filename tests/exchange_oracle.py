@@ -11,8 +11,11 @@ are kept as its reference: on any diagram, ``fronts_cuts`` and
 ``fronts_blocks`` must give the entries, splits and order that ``_cuts`` and
 ``_blocks`` give.
 
-``id_keyed_closure`` and ``occurrences_in`` are the matching oracle: every
-order of an exchange class, and the pattern windows read off them.
+``exchange_closure`` is every slice sequence of an exchange class, the
+oracle for canonical forms and for anything that must not depend on the
+representative.  ``id_keyed_closure`` and ``occurrences_in`` are the
+matching oracle: every order of an exchange class, and the pattern windows
+read off them.
 ``unfiltered_matches`` is the context oracle: the closure scan that
 ``find_matches`` once ran on every subject.
 """
@@ -94,6 +97,12 @@ def fronts_blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
             if block:
                 yield (above, tuple(s for s, _ in block),
                        tuple(s for s, _ in below))
+
+
+def exchange_closure(d: Diagram) -> list[tuple[Slice, ...]]:
+    """The slice sequences exchange-equivalent to ``d``, in the order of
+    ``exchange_closure_with_ids``."""
+    return [slices for slices, _ in exchange_closure_with_ids(d)]
 
 
 def id_keyed_closure(d):

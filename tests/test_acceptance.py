@@ -49,7 +49,6 @@ from polyrew.critical import (
 from polyrew.diagram import (
     canonical_form,
     diagram_equal,
-    exchange_closure,
     parse_diagram,
     print_diagram,
     vcomp,
@@ -58,6 +57,7 @@ from polyrew.rewrite import find_matches, validate_trace
 from polyrew.termination import check_decrease
 
 from braid_oracle import handle_reduce
+from exchange_oracle import exchange_closure
 from test_coherence import (
     beta_vs_whiskered_inverse,
     daleth1_legs,

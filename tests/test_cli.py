@@ -3,7 +3,10 @@ formats, and file round-trips."""
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -247,8 +250,10 @@ class TestTermination:
         ("d mu (i, j, k) = i",
          "an entry for mu declares 3 variables, more than its arity 2"),
         ("X nu (i) = i", "an entry for nu names no generator of Mon"),
+        ("X mu (i, j) = i + j, j",
+         "X entry for mu has 2 components, expected 1"),
     ], ids=["negative", "variable-count", "repeated-variable", "long-variable-list",
-            "unknown-generator"])
+            "unknown-generator", "components"])
     def test_malformed_interp_exits_2(self, capsys, tmp_path, line, message):
         # The line replaces mon's entry for the same generator, or adds one
         # for a generator mon lacks.  No file may pass or end in a
@@ -590,6 +595,131 @@ class TestExport:
         )
         assert code == 0
         assert out.startswith("1 critical branching(s)")
+
+
+MU_GEN = "gen mu : 2 -> 1\n"
+ALPHA_TRACE = "trace t on (mu * id 1) ; mu\n"
+
+
+class TestInputErrors:
+    """Input errors no other test reaches, each with its exit code and
+    exact message, and an interpretation that fails the grid certificate
+    on X."""
+
+    @pytest.mark.parametrize("text, message", [
+        (MU_GEN + MU_GEN,
+         "duplicate generator names in signature 'polygraph'"),
+        (MU_GEN + "rule a : id 1 => id 1\n",
+         "rule a: lhs must contain a generator"),
+        (MU_GEN + "rule a : mu => id 2\n", "rule a: output widths differ"),
+        (MU_GEN + "rule a : mu => mu\nrule a : mu => mu\n",
+         "duplicate rule names"),
+    ], ids=["duplicate-generator", "empty-lhs", "output-widths",
+            "duplicate-rule"])
+    def test_polygraph_file(self, capsys, tmp_path, text, message):
+        poly = tmp_path / "bad.poly"
+        poly.write_text(text)
+        code, out, err = run(capsys, "critical", "--polygraph", str(poly))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        (ALPHA_TRACE + ALPHA_TRACE, "line 2: duplicate trace header"),
+        ("step alpha + top=id 3 left=0 right=0 bot=id 1\n" + ALPHA_TRACE,
+         "line 1: step before trace header"),
+        (ALPHA_TRACE + "step nosuch + top=id 3 left=0 right=0 bot=id 1\n",
+         "unknown rule 'nosuch'"),
+        (ALPHA_TRACE + "step alpha + top=id 2 left=0 right=0 bot=mu\n",
+         "context top width 2 does not frame pattern width 3 with "
+         "whiskers (0, 0)"),
+        (ALPHA_TRACE + "step alpha + top=id 3 left=0 right=0 bot=id 2\n",
+         "vertical composition mismatch: output width 1 vs input width 2"),
+    ], ids=["duplicate-header", "step-before-header", "unknown-rule",
+            "top-width", "bottom-width"])
+    def test_trace_file(self, capsys, tmp_path, text, message):
+        bad, good = tmp_path / "bad.tr", tmp_path / "good.tr"
+        bad.write_text(text)
+        good.write_text(ALPHA_TRACE)
+        code, out, err = run(capsys, "decide", "--preset", "mon",
+                             "--trace", str(bad), "--trace", str(good))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("bound 4", "bound 1", "grid bound must be at least 2"),
+        ("d mu (i, j) = i\n", "", "no d entry for generator 'mu'"),
+    ], ids=["bound", "missing-d"])
+    def test_interpretation(self, capsys, tmp_path, old, new, message):
+        interp = tmp_path / "bad.interp"
+        interp.write_text(MON_INTERP_TEXT.replace(old, new))
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_interpretation_fails_on_x(self, capsys, tmp_path):
+        # X mu is constant, so it cannot decrease along alpha.
+        interp = tmp_path / "flat.interp"
+        interp.write_text(MON_INTERP_TEXT.replace(
+            "X mu (i, j) = i + j", "X mu (i, j) = 1").replace(
+            "d mu (i, j) = i", "d mu (i, j) = i + j"))
+        code, out, err = run(
+            capsys, "termination", "--preset", "mon", "--interp", str(interp))
+        assert (code, out, err) == (
+            1, "grid certificate FAILED (evidence, not proof; B=4)\n", "")
+        code, out, _ = run(capsys, "termination", "--preset", "mon",
+                           "--interp", str(interp), "--format", "json")
+        checks = {c["rule"]: c for c in json.loads(out)["rules"]}
+        assert (code, checks["lambda"]["failing_tuple"],
+                checks["lambda"]["detail"]) == (1, [2], "X values [1] vs [2]")
+
+    def test_budget_not_a_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--preset", "mon", "--expr", "mu",
+                  "--budget", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyrew normalize ")
+        assert err.splitlines()[-1] == (
+            "polyrew normalize: error: argument --budget: "
+            "invalid int value: 'x'")
+
+    def test_unreadable_trace(self, capsys, tmp_path):
+        missing = tmp_path / "missing.tr"
+        good = tmp_path / "good.tr"
+        good.write_text(ALPHA_TRACE)
+        code, out, err = run(capsys, "decide", "--preset", "mon",
+                             "--trace", str(missing), "--trace", str(good))
+        assert (code, out, err) == (
+            2, "", f"error: cannot read {missing}: [Errno 2] No such file "
+            f"or directory: '{missing}'\n")
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "mon.poly"
+        code, out, err = run(capsys, "export", "--preset", "mon",
+                             "--out", str(target))
+        assert (code, out, err) == (
+            2, "", f"error: cannot write {target}: [Errno 2] No such file "
+            f"or directory: '{target}'\n")
+
+    def test_decide_needs_preset(self, capsys, tmp_path):
+        good = tmp_path / "good.tr"
+        good.write_text(ALPHA_TRACE)
+        code, out, err = run(capsys, "decide",
+                             "--trace", str(good), "--trace", str(good))
+        assert (code, out, err) == (2, "", "error: decide requires --preset\n")
+
+
+def test_module_entry_point():
+    # ``python -m polyrew.cli`` runs ``main`` through the module's
+    # ``__main__`` guard and exits with its code.
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyrew.cli", "info", "--preset", "as"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "verdict: aspherical (by convergent presentation)" in (
+        proc.stdout.splitlines())
 
 
 #: The flags each verb reads besides ``--format`` and ``--out``, which every

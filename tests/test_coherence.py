@@ -35,7 +35,6 @@ from polyrew.diagram import (
     Slice,
     canonical_form,
     diagram_equal,
-    exchange_closure,
     identity,
     parse_diagram,
     print_diagram,
@@ -49,7 +48,6 @@ from polyrew.rewrite import (
     Trace,
     compose_traces,
     find_matches,
-    identity_context,
     invert_trace,
     normalize,
     parallel,
@@ -58,6 +56,8 @@ from polyrew.rewrite import (
     validate_trace,
 )
 
+from conftest import identity_context
+from exchange_oracle import exchange_closure
 from test_critical import all_diagrams
 
 

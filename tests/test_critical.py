@@ -30,7 +30,6 @@ from polyrew.diagram import (
     canonical_form,
     canonical_form_with_ids,
     diagram_equal,
-    exchange_closure,
     exchange_closure_with_ids,
     hcomp,
     identity,
@@ -82,8 +81,8 @@ from polyrew.termination import mon_interpretation
 
 from conftest import cup_polygraph, make_as_polygraph, make_mon_polygraph
 from exchange_oracle import (
-    _commute, _fronts, _swap, id_keyed_closure, occurrences_in,
-    unfiltered_matches)
+    _commute, _fronts, _swap, exchange_closure, id_keyed_closure,
+    occurrences_in, unfiltered_matches)
 from test_diagram import all_diagrams as every_diagram
 
 
@@ -893,6 +892,22 @@ class TestMatchWalk:
         p = get_preset(preset).polygraph
         patterns = [r.lhs for r in p.rules]
         for d in enumeration_candidates(p, monkeypatch):
+            assert walk_pairs(d, patterns) == oracle_pairs(d, patterns), (
+                print_diagram(d))
+
+    def test_generic_generators_match_the_oracle(self):
+        # Every closed pattern of up to 3 slices over a 2 -> 2, a 1 -> 2
+        # and a 2 -> 1 generator, at once, on every subject of up to 4
+        # slices: patterns with undirected cycles through 2 -> 2 slices,
+        # and subjects a fold or a leak of the walk's image would need.
+        sig = Signature("Generic", (GeneratorSym("s", 2, 2),
+                                    GeneratorSym("delta", 1, 2),
+                                    GeneratorSym("mu", 2, 1)))
+        patterns = [d for d in all_diagrams(sig, 3, 4)
+                    if d.slices and _pattern_slots(d) is not None]
+        subjects = all_diagrams(sig, 4, 3)
+        assert (len(patterns), len(subjects)) == (204, 606)
+        for d in subjects:
             assert walk_pairs(d, patterns) == oracle_pairs(d, patterns), (
                 print_diagram(d))
 

@@ -20,7 +20,6 @@ from polyrew.diagram import (
     canonical_form,
     canonical_form_with_ids,
     diagram_equal,
-    exchange_closure,
     exchange_closure_with_ids,
     generator_diagram,
     hcomp,
@@ -30,7 +29,8 @@ from polyrew.diagram import (
     vcomp,
 )
 from conftest import ETA, MU
-from exchange_oracle import _commute, _fronts, _swap, fronts_blocks, fronts_cuts
+from exchange_oracle import (
+    _commute, _fronts, _swap, exchange_closure, fronts_blocks, fronts_cuts)
 from parse_oracle import oracle_parse_diagram
 
 

@@ -14,7 +14,6 @@ from polyrew.diagram import (
     Slice,
     canonical_form,
     diagram_equal,
-    exchange_closure,
     hcomp,
     identity,
     parse_diagram,
@@ -31,7 +30,6 @@ from polyrew.rewrite import (
     Trace,
     compose_traces,
     find_matches,
-    identity_context,
     invert_trace,
     normalize,
     parallel,
@@ -45,9 +43,9 @@ from polyrew.rewrite import _wire_kinds
 import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
-from conftest import MU, cup_polygraph
+from conftest import MU, cup_polygraph, identity_context
 from exchange_oracle import (
-    id_keyed_closure, occurrences_in, unfiltered_matches)
+    exchange_closure, id_keyed_closure, occurrences_in, unfiltered_matches)
 from test_critical import all_diagrams as class_representatives
 from test_critical import counit_polygraph
 from test_diagram import all_diagrams, random_diagram

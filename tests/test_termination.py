@@ -8,7 +8,7 @@ import pytest
 import polyrew.termination as termination
 from polyrew.coherence import get_preset
 
-from polyrew.diagram import Diagram, exchange_closure, identity, parse_diagram
+from polyrew.diagram import Diagram, identity, parse_diagram
 from polyrew.rewrite import Polygraph, Rule
 from polyrew.termination import (
     Add,
@@ -26,6 +26,7 @@ from polyrew.termination import (
     parse_expr,
     parse_interpretation,
 )
+from exchange_oracle import exchange_closure
 from test_diagram import all_diagrams, random_diagram
 
 
