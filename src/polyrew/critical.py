@@ -5,8 +5,9 @@ rule applications.  Sources are built by gluing two rule sources along a
 common block: wherever blocks read off the exchange cuts of the two are
 equal modulo exchange and a horizontal shift, one whole source replaces
 the block in the other.  Entangled sources, where a slice outside both
-redexes is stuck between them, come from splicing into each padded
-overlap one slice that stays stuck between its neighbours.  A candidate's
+redexes is stuck between them, come from splicing into each overlap, on
+its own wires or one more on either side, one slice that stays stuck
+between its neighbours.  A candidate's
 pairs are read off a walk along its wires from its end slices: two
 distinct, overlapping matches whose union covers the ends.  A splice with
 none is neither canonicalized nor framed; the matcher, and its exchange
@@ -31,7 +32,6 @@ from functools import cache, lru_cache
 
 from .diagram import (
     Diagram,
-    DiagramError,
     PolyrewError,
     Signature,
     Slice,
@@ -305,27 +305,46 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
 
 
 def _stuck_splices(u: Diagram, gens):
-    """Candidate entangled sources: ``u`` padded by a wire on each side, a
-    slice spliced in at a cut where no representative puts it first or last
-    (else it is a peelable context), and untouched pads stripped.  A whisker
-    of ``u``'s own may remain: :func:`critical_pairs_on` rejects it."""
-    base = hcomp(identity(1), u, identity(1))
-    for top, rest in _cuts(base):
+    """Candidate entangled sources: a slice spliced in at a cut of ``u``
+    where no representative puts it first or last (else it is a peelable
+    context), on ``u``'s wires or on one more on either side.
+
+    The cuts are ``u``'s own, walked once.  At a cut of width ``w`` the new
+    slice takes every offset from -1, on a wire left of ``u``, to the one
+    that ends it on wire ``w``, right of the cut.  The left wire is kept
+    only at offset -1; the right one only when the new slice, or a slice
+    below it on the wires the new slice leaves, reaches it.  Which slices
+    below fit, and which reach that wire, depends on the new slice's
+    generator alone, so it is read once per cut.  The new slice alone is
+    walked up and down (:func:`_reaches_end`) before any diagram is built.
+    A whisker of ``u``'s own may remain: :func:`critical_pairs_on` rejects
+    it."""
+    n = u.input_width
+    for top, rest in _cuts(u):
         above = tuple(s for s, _ in top)
         below = tuple(s for s, _ in rest)
-        w = Diagram(base.input_width, above).output_width
+        w = n + sum(g.coarity - g.arity for _, g in above)
+        # Per slice below: the least width just under the new slice on
+        # which it fits; on exactly that width it ends on the last wire.
+        reach, grown = [], 0
+        for o, g in below:
+            reach.append(o + g.arity - grown)
+            grown += g.coarity - g.arity
         for g in gens:
-            for off in range(w - g.arity + 1):
-                s = Slice(off, g)
-                if _reaches_end(above, s, below):
+            a = g.arity
+            room = w + 1 + g.coarity - a  # the right wire included
+            if any(r > room for r in reach):
+                continue
+            edge = room in reach
+            for o in range(-1, w + 2 - a):
+                if _reaches_end(above, (o, g), below):
                     continue
-                try:
-                    d = Diagram(base.input_width, above + (s,) + below)
-                except DiagramError:
-                    continue
-                left, right = _outer_whiskers(d)
-                yield Diagram(d.input_width - left - right,
-                              tuple(t.shifted(-left) for t in d.slices))
+                right = edge or o + a == w + 1
+                if o < 0:
+                    yield Diagram(n + 1 + right, tuple(
+                        Slice(t + 1, h) for t, h in above + ((-1, g),) + below))
+                else:
+                    yield Diagram(n + right, above + (Slice(o, g),) + below)
 
 
 def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
@@ -340,12 +359,15 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
     (``_blocks``) are grouped by tight block modulo exchange, and each
     ordered pair of splits in a group gives
     ``above2 ; above1 ; block1 ; below1 ; below2``, shifted so that the
-    blocks coincide.  Phase 2 walks the cuts of each phase-1 source, padded
-    once, and splices in one stuck slice (``_stuck_splices``), to catch
-    entangled branchings whose source strictly contains the union — e.g.
-    the wide Yang–Baxter self-overlap.  Each splice is tested as built
-    (:func:`_pairs` on its own walk), so one with no covering pair is
-    neither canonicalized nor framed.  Completeness is bounded: branchings
+    blocks coincide.  Phase 2 walks the cuts of each phase-1 source once
+    and splices in one stuck slice (``_stuck_splices``), on the source's
+    wires or one more on either side, to catch entangled branchings whose
+    source strictly contains the union — e.g. the wide Yang–Baxter
+    self-overlap.  Each splice is tested as built (:func:`_pairs` on its
+    own walk), so one with no covering pair is neither canonicalized nor
+    framed.  The same splice can come from more than one cut or source; it
+    is walked only the first time, since a repeat has the same test result
+    and canonical class.  Completeness is bounded: branchings
     needing two or more stuck slices are missed, and such branchings exist
     (perm has three ``yb``/``yb`` ones, pinned in the test suite).  With a
     coarity-0 generator in a rule source, an exchange can have two results
@@ -382,8 +404,13 @@ def enumerate_critical_branchings(p: Polygraph) -> list[Branching]:
                 ))
     # Phase 2: entangled sources, one stuck slice beyond the union.
     gens, slots = p.signature.all_generators(), _source_slots(p)[1]
+    walked: set = set()
     for br in list(found):
         for variant in _stuck_splices(br.source, gens):
+            key = (variant.input_width, variant.slices)
+            if key in walked:
+                continue
+            walked.add(key)
             walk = _match_walk(variant, slots)
             if walk is None or any(_pairs(walk, _ends(variant))):
                 consider(variant)

@@ -308,11 +308,14 @@ def _exchange(a: Slice, b: Slice) -> tuple[Slice, Slice] | None:
     return None
 
 
-def _reaches_end(above, s: Slice, below) -> bool:
-    """Whether slice ``s`` between ``above`` and ``below``, walked alone,
-    exchanges up through every slice above or down through every one below,
-    each step :func:`_exchange`'s, inline."""
-    o, g = s
+def _reaches_end(above, s, below) -> bool:
+    """Whether slice ``s``, an ``(offset, gen)`` pair, between ``above`` and
+    ``below``, walked alone, exchanges up through every slice above or down
+    through every one below, each step :func:`_exchange`'s, inline.  Only
+    offsets relative to each other are read, so ``s`` may sit at offset -1,
+    on a wire left of the others."""
+    start, g = s
+    o = start
     for ao, ag in reversed(above):
         if o + g.arity <= ao:
             continue
@@ -321,7 +324,7 @@ def _reaches_end(above, s: Slice, below) -> bool:
         o += ag.arity - ag.coarity
     else:
         return True
-    o = s.offset
+    o = start
     for bo, bg in below:
         if bo + bg.arity <= o:
             o += bg.coarity - bg.arity

@@ -314,11 +314,14 @@ def _match_walk(d: Diagram, slots: dict | None):
     Each slice's feeds and consumers are read once (:func:`_ports`).  From
     the anchor, set on each pattern slice of its generator in turn, the
     walk follows the pattern's inner wires, each to the same port of the
-    same generator.  It accepts the image when it is one-to-one, no
-    boundary output wire of the pattern comes back into it, and no path
-    leaves it and returns (it is convex).  Such an image is a window of
-    some exchange representative, so the pairs are those of
-    :func:`find_matches` on ``d``'s canonical form, renumbered.
+    same generator; most slots fail at the first wire, which leaves the
+    anchor, and are dropped there.  It accepts the image when it is
+    one-to-one, no boundary output wire of the pattern comes back into it,
+    and no path leaves it and returns (it is convex).  Each of the last two
+    tests is made where its wire is followed, so neither covers for the
+    other.  Such an image is a window of some exchange representative, so
+    the pairs are those of :func:`find_matches` on ``d``'s canonical form,
+    renumbered.
     """
     if slots is None or not all(s.gen.coarity for s in d.slices):
         return None
@@ -351,16 +354,24 @@ def _match_walk(d: Diagram, slots: dict | None):
         last, seen = max(occ), set()
         while out:
             y = out.pop()
-            if y in occ:
-                return None
             if y < last and y not in seen:
                 seen.add(y)
-                out.extend(w[0] for w in consumers[y] if w is not None)
+                for w in consumers[y]:
+                    if w is not None:
+                        if w[0] in occ:
+                            return None
+                        out.append(w[0])
         return to
 
     def walk(anchor: int) -> dict[tuple[int, frozenset[int]], tuple]:
         found = {}
         for n, t, steps, checks, outputs in slots.get(gens[anchor], ()):
+            if steps:
+                # The first step leaves the anchor: most slots end there.
+                _, down, port, _, uport, g = steps[0]
+                w = (consumers if down else feeds)[anchor][port]
+                if w is None or w[1] != uport or gens[w[0]] is not g:
+                    continue
             to = image(t, anchor, steps, checks, outputs)
             if to is not None:
                 found.setdefault((n, frozenset(to)), tuple(to))

@@ -800,6 +800,59 @@ def test_stuck_splices_match_four_widenings(preset):
             print_diagram(u))
 
 
+def padded_splices(u, gens):
+    """Stuck splices as the padded walk enumerated them: ``u`` padded by one
+    wire on each side, the cuts of the padded diagram walked, and each
+    splice built, then stripped of the pads no slice touches."""
+    base = hcomp(identity(1), u, identity(1))
+    for top, rest in _cuts(base):
+        above = tuple(s for s, _ in top)
+        below = tuple(s for s, _ in rest)
+        w = Diagram(base.input_width, above).output_width
+        for g in gens:
+            for off in range(w - g.arity + 1):
+                s = Slice(off, g)
+                if _reaches_end(above, s, below):
+                    continue
+                try:
+                    d = Diagram(base.input_width, above + (s,) + below)
+                except DiagramError:
+                    continue
+                left, right = _outer_whiskers(d)
+                yield Diagram(d.input_width - left - right,
+                              tuple(t.shifted(-left) for t in d.slices))
+
+
+def spliced_sources(p, monkeypatch):
+    """The ``(source, generators)`` arguments phase 2 gives
+    ``_stuck_splices``: the phase-1 sources."""
+    calls = []
+    splices = critical._stuck_splices
+
+    def record(u, gens):
+        calls.append((u, gens))
+        return splices(u, gens)
+    with monkeypatch.context() as m:
+        m.setattr(critical, "_stuck_splices", record)
+        enumerate_critical_branchings(p)
+    return calls
+
+
+def test_stuck_splices_match_the_padded_oracle(monkeypatch):
+    # Splicing in the source's own wires yields the padded walk's splices,
+    # pads stripped, in its order: the same diagrams, not only the same
+    # classes.  counit, cup and coarity0_pair add arity-0 and coarity-0
+    # generators, which sit at the edges differently.
+    ps = [get_preset(name).polygraph for name in GOLDEN_ENUMERATION]
+    ps += [counit_polygraph(), cup_polygraph(), coarity0_pair()]
+    for k, p in enumerate(ps + list(random_polygraphs(2026, 150))):
+        for u, gens in spliced_sources(p, monkeypatch):
+            assert [(d.input_width, d.slices)
+                    for d in _stuck_splices(u, gens)] == [
+                (d.input_width, d.slices) for d in padded_splices(u, gens)
+            ], (k, print_diagram(u))
+
+
 # -- the wire walk that settles candidates ----------------------------------
 
 
@@ -920,6 +973,33 @@ class TestMatchWalk:
         assert _pattern_slots(parse_diagram("mu * id 1", mon.signature)) is None
 
 
+S22 = GeneratorSym("s", 2, 2)
+SF = Signature("SF", (S22, GeneratorSym("f", 1, 1)))
+
+
+@pytest.mark.parametrize("subject, steps, outputs", [
+    # Pattern slice 1 hangs below output 0 of slice 0, and slice 2 above
+    # input 1 of slice 1; in ``s ; s`` that wire comes from slice 0, so
+    # pattern slices 0 and 2 land on one slice.
+    ("s ; s", [(0, True, 0, 1, 0, S22), (1, False, 1, 2, 1, S22)], []),
+    # Output 0 of slice 0 is an output wire of the pattern, and feeds
+    # slice 1.
+    ("s ; s", [(0, True, 1, 1, 1, S22)], [(0, 0)]),
+    # Output 0 of slice 0 feeds ``f``, outside the image, which feeds
+    # slice 1.
+    ("s ; (f * id 1) ; s", [(0, True, 1, 1, 1, S22)], [(0, 0)]),
+], ids=["fold", "output_returns", "path_returns"])
+def test_walk_rejects_hand_built_images(subject, steps, outputs):
+    # No closed pattern's own layout leads the walk to these rejections,
+    # so each is fed a hand-built slot, ``(pattern, slice, steps, checks,
+    # outputs)``, whose first step holds and whose image only that test
+    # rejects.  The single slice ``s`` beside it shows the walk running.
+    d = parse_diagram(subject, SF)
+    single = _pattern_slots(parse_diagram("s", SF))[S22]
+    slots = {S22: single + [(1, 0, steps, [], outputs)]}
+    assert _match_walk(d, slots)(0) == {(0, frozenset({0})): (0,)}
+
+
 def test_walk_decision_keeps_enumeration(monkeypatch):
     # Without the walk, every candidate goes to the matcher, as before the
     # walk: the branchings, their steps, contexts and order must agree.
@@ -950,6 +1030,36 @@ def test_enumeration_never_runs_the_matcher(monkeypatch, preset):
         "closure", polyrew.rewrite.exchange_closure_with_ids))
     assert enumerate_critical_branchings(p)
     assert raw and not calls
+
+
+@pytest.mark.parametrize("preset, walks, raw", [
+    ("sym", 383, 454), ("sym_prime", 543, 636), ("perm", 28, 38)])
+def test_phase2_walks_each_splice_once(monkeypatch, preset, walks, raw):
+    # A raw splice built again, from another cut or source, has the same
+    # gate result and canonical class, so phase 2 walks only its first.
+    p = get_preset(preset).polygraph
+    spliced, walked, framing = [], [], []
+    pairs_on, match_walk = critical.critical_pairs_on, critical._match_walk
+
+    def marking(p, u):
+        framing.append(u)
+        try:
+            return pairs_on(p, u)
+        finally:
+            framing.pop()
+
+    def counting(d, slots):
+        if not framing:  # phase 2's gate, not critical_pairs_on
+            walked.append((d.input_width, d.slices))
+        return match_walk(d, slots)
+
+    monkeypatch.setattr(critical, "_stuck_splices", recording_splices(spliced))
+    monkeypatch.setattr(critical, "critical_pairs_on", marking)
+    monkeypatch.setattr(critical, "_match_walk", counting)
+    enumerate_critical_branchings(p)
+    assert (len(walked), len(spliced)) == (walks, raw)
+    assert walked == list(dict.fromkeys(
+        (d.input_width, d.slices) for d in spliced))
 
 
 def slice_orders(d):
