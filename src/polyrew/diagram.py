@@ -333,6 +333,26 @@ def _reaches_end(above, s, below) -> bool:
     return True
 
 
+def _ports(d: Diagram) -> tuple[list, list, list]:
+    """Which port feeds which in ``d``, in one pass over its slices: what
+    feeds each input port and what consumes each output port of each slice,
+    and what feeds each output wire of ``d``.  Each is ``(slice, port)``, or
+    ``None`` for a wire of ``d``'s own input or output."""
+    feeds, consumers = [], []
+    wires = [None] * d.input_width  # per wire, the output that feeds it
+    for i, (o, g) in enumerate(d.slices):
+        ins = wires[o: o + g.arity]
+        for q, w in enumerate(ins):
+            if w is not None:
+                consumers[w[0]][w[1]] = i, q
+        feeds.append(ins)
+        consumers.append([None] * g.coarity)
+        # Most generators have coarity 1; a comprehension costs a frame.
+        wires[o: o + g.arity] = ([(i, 0)] if g.coarity == 1
+                                 else [(i, p) for p in range(g.coarity)])
+    return feeds, consumers, wires
+
+
 def _ends(d: Diagram) -> set[int]:
     """The indices of the slices some exchange representative of ``d`` puts
     first or last."""
@@ -484,9 +504,9 @@ def _blocks(d: Diagram) -> Iterator[tuple[tuple[Slice, ...], ...]]:
                        tuple(s for s, _ in below))
 
 
-def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
+def _lex_min(d: Diagram, window=()) -> list[tuple[Slice, int]]:
     """The lexicographically least representative of the exchange class of
-    ``slices``, as ``(slice, input position)`` entries.
+    ``d``, as ``(slice, input position)`` entries.
 
     One loop over ordered branches.  Each round keeps every front with the
     least ``(offset, name)``, in branch order then slice order, which is the
@@ -518,12 +538,15 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
     each round keeps only the fronts :func:`_window_fronts` allows, and a
     tie of free units settles as above only when none of them is in the
     window.  The map of free units is built on the first round that has a
-    tie, so calls without one pay nothing for it.
+    tie, so calls without one pay nothing for it.  Precondition: the window
+    is a match of a closed pattern and no slice of ``d`` has coarity 0, as
+    in matching; otherwise the entries can give a wrong context, such as a
+    right whisker of -1, or none.
     """
-    branch = _Branch.start(slices)
+    branch = _Branch.start(d.slices)
     branches = [branch]
     units = None
-    for _ in range(len(slices)):
+    for _ in range(len(d)):
         if window:
             ties = [_window_fronts(b, window) for b in branches]
         # The common round: one branch with one least front.
@@ -538,7 +561,7 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
             if key == best:
                 if len(tied) > 1:
                     if units is None:
-                        units = _free_units(slices)
+                        units = _free_units(d)
                     if all(x in units and x not in window for x in tied):
                         tied = [max(tied, key=units.get)]
                 for t in tied[:-1]:
@@ -552,19 +575,14 @@ def _lex_min(slices, window=()) -> list[tuple[Slice, int]]:
     return branch.cut()[0]
 
 
-def _free_units(slices) -> dict[int, int]:
-    """The free units of ``slices``, each mapped to the output position of
-    its wire: the arity-0, coarity-1 slices whose wire no slice consumes.
-
-    Input wires a slice reaches past the ones seen so far are added on the
-    right; they are not units, so the positions keep their order."""
-    wires = []  # the slice that produced each wire, or None
-    for x, (o, g) in enumerate(slices):
-        end = o + g.arity
-        if len(wires) < end:
-            wires += [None] * (end - len(wires))
-        wires[o:end] = [x] if g.arity == 0 and g.coarity == 1 else [None] * g.coarity
-    return {x: p for p, x in enumerate(wires) if x is not None}
+def _free_units(d: Diagram) -> dict[int, int]:
+    """The free units of ``d``, each mapped to the output wire it feeds
+    (:func:`_ports`): the arity-0, coarity-1 slices whose wire no slice
+    consumes."""
+    units = {x for x, (_, g) in enumerate(d.slices)
+             if (g.arity, g.coarity) == (0, 1)}
+    return {w[0]: k for k, w in enumerate(_ports(d)[2])
+            if w is not None and w[0] in units}
 
 
 def _window_fronts(b: _Branch, window) -> tuple[tuple, list]:
@@ -612,7 +630,7 @@ def canonical_form_with_ids(d: Diagram) -> tuple[Diagram, tuple[int, ...]]:
     the generator occurrence that ends up as slice ``k`` of the canonical
     form.
     """
-    entries = _lex_min(d.slices)
+    entries = _lex_min(d)
     canon = Diagram(d.input_width, tuple(s for s, _ in entries))
     return canon, tuple(i for _, i in entries)
 

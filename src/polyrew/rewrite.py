@@ -10,7 +10,7 @@ Matching works modulo exchange.  Each pattern is first tested against the
 subject's *wire kinds*: its generator names, and which output port of which
 generator feeds which input port of which.  Exchange keeps those, so a
 pattern with a kind the subject lacks cannot match and is skipped.  The
-same pass finds the subject's wire-connected components.  When every
+subject's kinds and components are read off ``_ports``.  When every
 pattern left is closed (connected, with no pass-through wire) and no slice
 has coarity 0, each match is a convex, wire-connected set of slices, so a
 walk along wires from one slice lists the matches that hold it.  The walk's
@@ -43,6 +43,7 @@ from .diagram import (
     PolyrewError,
     Signature,
     _lex_min,
+    _ports,
     canonical_form,
     diagram_equal,
     exchange_closure_with_ids,
@@ -198,68 +199,45 @@ class Match:
         return tuple(sorted(self.occurrences))
 
 
-def _wire_walk(d: Diagram) -> tuple[set, list[int]]:
-    """One pass over the slices of ``d``: its wire kinds and a union-find
-    forest over its slices.
-
-    The kinds are the generator names of ``d``, plus ``(g, p, h, q)`` for
-    each inner wire from output ``p`` of a ``g`` to input ``q`` of an ``h``.
-    In the forest, ``parent``, two slices joined by a wire have one root,
-    so its roots are ``d``'s wire-connected components.
-    """
-    kinds = set()
-    parent = []
-    wires = [None] * d.input_width  # per wire, the output that feeds it
-    for i, s in enumerate(d.slices):
-        g, o = s.gen, s.offset
-        name = g.name
-        kinds.add(name)
-        parent.append(i)
-        for q, w in enumerate(wires[o: o + g.arity]):
-            if w is not None:
-                j, h, p = w
-                kinds.add((h, p, name, q))
-                while parent[j] != j:
-                    parent[j] = j = parent[parent[j]]
-                parent[j] = i
-        wires[o: o + g.arity] = [(i, name, p) for p in range(g.coarity)]
-    return kinds, parent
-
-
-def _wire_kinds(d: Diagram) -> frozenset:
-    """The wire kinds of ``d`` (see :func:`_wire_walk`)."""
-    return frozenset(_wire_walk(d)[0])
-
-
-def _ports(d: Diagram) -> tuple[list, list]:
-    """What feeds each input port and what consumes each output port of
-    each slice of ``d``, in one pass: ``(slice, port)``, or ``None`` for a
-    wire of ``d``'s own input or output."""
-    feeds, consumers = [], []
-    wires = [None] * d.input_width  # per wire, the output that feeds it
-    for i, (o, g) in enumerate(d.slices):
-        ins = wires[o: o + g.arity]
+def _kinds(d: Diagram, feeds) -> set:
+    """The wire kinds of ``d``, read off its ``feeds`` (:func:`_ports`): its
+    generator names, plus ``(g, p, h, q)`` for each inner wire from output
+    ``p`` of a ``g`` to input ``q`` of an ``h``."""
+    names = [s.gen.name for s in d.slices]
+    kinds = set(names)
+    for i, ins in enumerate(feeds):
         for q, w in enumerate(ins):
             if w is not None:
-                consumers[w[0]][w[1]] = i, q
-        feeds.append(ins)
-        consumers.append([None] * g.coarity)
-        wires[o: o + g.arity] = [(i, p) for p in range(g.coarity)]
-    return feeds, consumers
+                kinds.add((names[w[0]], w[1], names[i], q))
+    return kinds
+
+
+def _connected(feeds, consumers) -> bool:
+    """Whether the slices with these ``feeds`` and ``consumers``
+    (:func:`_ports`) are one wire-connected component."""
+    order = [0] if feeds else []
+    reached = set(order)
+    for a in order:  # grows as the walk reaches slices
+        for w in feeds[a] + consumers[a]:
+            if w is not None and w[0] not in reached:
+                reached.add(w[0])
+                order.append(w[0])
+    return 0 < len(order) == len(feeds)
 
 
 @lru_cache(maxsize=1 << 12)
 def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset]:
     """A pattern's canonical form and wire kinds, built once per pattern."""
-    return canonical_form(pattern), _wire_kinds(pattern)
+    return (canonical_form(pattern),
+            frozenset(_kinds(pattern, _ports(pattern)[0])))
 
 
 @lru_cache(maxsize=1 << 8)
 def _pattern_slots(*patterns: Diagram) -> dict | None:
     """Where each generator sits in ``patterns``, for :func:`_match_walk`;
-    None unless every pattern is closed: it has no pass-through wire, so
-    each output wire is an unconsumed output of one of its slices, and the
-    walk from one slice reaches every slice.
+    None unless every pattern is closed: a slice feeds each of its output
+    wires, so none passes through, and the walk from one slice reaches
+    every slice.
 
     A slot is ``(pattern index, slice, steps, checks, outputs)``: the
     pattern's wires (:func:`_ports`) walked breadth first from that slice.
@@ -267,15 +245,13 @@ def _pattern_slots(*patterns: Diagram) -> dict | None:
     ``gen``, at its port ``uport`` from ``port`` of slice ``a``, down to a
     consumer or up to a feed; a check ``(a, down, port, u, uport)`` is a
     wire no step took.  ``outputs`` are the ``(slice, port)`` pairs that
-    feed an output wire of the pattern.
+    feed the output wires of the pattern, in wire order.
     """
     slots = {}
     for n, pattern in enumerate(patterns):
         gens = [s.gen for s in pattern.slices]
-        feeds, consumers = _ports(pattern)
-        outputs = [(a, p) for a, links in enumerate(consumers)
-                   for p, w in enumerate(links) if w is None]
-        if len(outputs) < pattern.output_width:
+        feeds, consumers, outputs = _ports(pattern)
+        if None in outputs:
             return None
         for t, g in enumerate(gens):
             steps, checks, order, taken = [], [], [t], set()
@@ -311,7 +287,7 @@ def _match_walk(d: Diagram, slots: dict | None):
     exchange is not symmetric.  Otherwise each match is a convex,
     wire-connected set of slices of ``d``, so a walk along wires finds it.
 
-    Each slice's feeds and consumers are read once (:func:`_ports`).  From
+    It reads each slice's feeds and consumers once (:func:`_ports`).  From
     the anchor, set on each pattern slice of its generator in turn, the
     walk follows the pattern's inner wires, each to the same port of the
     same generator; most slots fail at the first wire, which leaves the
@@ -326,7 +302,7 @@ def _match_walk(d: Diagram, slots: dict | None):
     if slots is None or not all(s.gen.coarity for s in d.slices):
         return None
     gens = [s.gen for s in d.slices]
-    feeds, consumers = _ports(d)
+    feeds, consumers, _ = _ports(d)
 
     def image(t, x, steps, checks, outputs):
         """The slice of ``d`` that each pattern slice reaches along wires
@@ -428,10 +404,12 @@ def _window_context(subject: Diagram, window: tuple[int, ...],
                     pat: Diagram) -> Context:
     """The context of ``pat``'s window at the positions ``window`` of
     ``subject``, a canonical form, in the least member of its exchange class
-    that has it: ``subject`` itself when the window is already in place."""
+    that has it: ``subject`` itself when the window is already in place.
+    Precondition, :func:`_lex_min`'s for a window: ``pat`` is closed and no
+    slice of ``subject`` has coarity 0, as :func:`_match_walk` ensures."""
     at, slices = window[0], subject.slices
     if window != tuple(range(at, at + len(window))):
-        entries = _lex_min(slices, window)
+        entries = _lex_min(subject, window)
         slices = tuple(s for s, _ in entries)
         at = [x for _, x in entries].index(at)
     return _context(slices, subject.input_width, at, pat)
@@ -447,8 +425,9 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     exchange representative of ``d`` in which its occurrences form the
     pattern's canonical slices.
 
-    A pattern whose wire kinds (:func:`_wire_walk`) are not all kinds of
-    ``d`` is skipped, and if every pattern is, no closure is built.  That is
+    A pattern whose wire kinds (:func:`_kinds`) are not all kinds of ``d``
+    is skipped, and if every pattern is, ``d`` is not even canonicalized:
+    both are read off ``d``'s own wiring (:func:`_ports`).  That is
     sound: exchange moves slices past others they share no wire with, so it
     keeps which output port feeds which input port and every closure member
     has ``d``'s kinds; and a window equal to a pattern has that pattern's
@@ -466,7 +445,8 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     """
     if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
-    kinds, parent = _wire_walk(d)
+    feeds, consumers, _ = _ports(d)
+    kinds = _kinds(d, feeds)
     pats = []
     for n, pattern in enumerate(patterns):
         canon, needs = _pattern_form(pattern)
@@ -477,7 +457,7 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     subject = canonical_form(d)
     found: dict[tuple[int, frozenset[int]], Match] = {}
     walk = None
-    if sum(map(int.__eq__, parent, range(len(parent)))) > 1:  # components
+    if not _connected(feeds, consumers):
         walk = _match_walk(subject, _pattern_slots(*(pat for _, pat in pats)))
     if walk is not None:
         for anchor in range(len(subject)):

@@ -18,6 +18,10 @@ matching oracle: every order of an exchange class, and the pattern windows
 read off them.
 ``unfiltered_matches`` is the context oracle: the closure scan that
 ``find_matches`` once ran on every subject.
+
+``free_units_oracle`` is the free-unit map ``_lex_min`` settles ties with,
+read off a wire list of its own: the reference for ``diagram._free_units``,
+which reads the output feeds of ``diagram._ports``.
 """
 
 from typing import Iterator
@@ -179,3 +183,18 @@ def unfiltered_matches(d, *patterns):
                                 slices[i + k:]))
     return sorted(((n, occ, ctx) for (n, occ), ctx in found.items()),
                   key=lambda m: (m[0], sorted(m[1])))
+
+
+def free_units_oracle(slices) -> dict[int, int]:
+    """The free units of ``slices``, each mapped to the output position of
+    its wire: the arity-0, coarity-1 slices whose wire no slice consumes.
+
+    Input wires a slice reaches past the ones seen so far are added on the
+    right; they are not units, so the positions keep their order."""
+    wires = []  # the slice that produced each wire, or None
+    for x, (o, g) in enumerate(slices):
+        end = o + g.arity
+        if len(wires) < end:
+            wires += [None] * (end - len(wires))
+        wires[o:end] = [x] if g.arity == 0 and g.coarity == 1 else [None] * g.coarity
+    return {x: p for p, x in enumerate(wires) if x is not None}

@@ -30,7 +30,8 @@ from polyrew.diagram import (
 )
 from conftest import ETA, MU
 from exchange_oracle import (
-    _commute, _fronts, _swap, exchange_closure, fronts_blocks, fronts_cuts)
+    _commute, _fronts, _swap, exchange_closure, free_units_oracle,
+    fronts_blocks, fronts_cuts)
 from parse_oracle import oracle_parse_diagram
 
 
@@ -630,14 +631,14 @@ class TestFreeUnitTies:
                 s = rng.choices(options, weights)[0]
                 slices.append(s)
                 w += s.gen.coarity - s.gen.arity
-            if len(diagram_module._free_units(slices)) >= 2:
+            if len(free_units_oracle(slices)) >= 2:
                 return Diagram(w0, tuple(slices))
 
     @staticmethod
-    def full_search(monkeypatch, slices, window=()):
+    def full_search(monkeypatch, d, window=()):
         with monkeypatch.context() as m:
-            m.setattr(diagram_module, "_free_units", lambda slices: {})
-            return diagram_module._lex_min(slices, window)
+            m.setattr(diagram_module, "_free_units", lambda d: {})
+            return diagram_module._lex_min(d, window)
 
     @staticmethod
     def outcome(f, *args):
@@ -650,8 +651,9 @@ class TestFreeUnitTies:
         rng = random.Random("free-units")
         for _ in range(2000):
             d = self.random_with_units(rng, 10)
-            assert (diagram_module._lex_min(d.slices)
-                    == self.full_search(monkeypatch, d.slices)), d
+            assert diagram_module._free_units(d) == free_units_oracle(d.slices)
+            assert (diagram_module._lex_min(d)
+                    == self.full_search(monkeypatch, d)), d
 
     def test_windows_match_full_search(self, monkeypatch):
         # Windows read from closure members, as ``find_matches`` hands them.
@@ -664,8 +666,8 @@ class TestFreeUnitTies:
                 i = rng.randrange(len(ids))
                 window = ids[i: rng.randint(i + 1, len(ids))]
                 expected = self.outcome(self.full_search, monkeypatch,
-                                        d.slices, window)
-                assert self.outcome(diagram_module._lex_min, d.slices,
+                                        d, window)
+                assert self.outcome(diagram_module._lex_min, d,
                                     window) == expected, (d, window)
 
     @pytest.mark.parametrize("text, ids", [
@@ -682,10 +684,20 @@ class TestFreeUnitTies:
     def test_free_units_map(self):
         d = parse_diagram("eta ; (eta * id 1) ; (delta * id 1) ; (id 2 * eta * id 1)",
                           self.SIG)
-        assert diagram_module._free_units(d.slices) == {0: 3, 3: 2}
+        assert diagram_module._free_units(d) == {0: 3, 3: 2}
         # Consumed by the symmetry: not free.
         d = parse_diagram("(eta * id 1) ; tau", self.SIG)
-        assert diagram_module._free_units(d.slices) == {}
+        assert diagram_module._free_units(d) == {}
+
+    def test_free_units_match_the_oracle(self):
+        # Every small diagram, coarity-0 ``eps`` and ``0 -> 2`` ``cup``
+        # included; at least one with two free units or more.
+        several = 0
+        for d in all_diagrams(self.SIG, 3, 3, max_width=5):
+            units = free_units_oracle(d.slices)
+            assert diagram_module._free_units(d) == units, d
+            several += len(units) >= 2
+        assert several
 
 
 class TestExchangeStates:

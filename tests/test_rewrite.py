@@ -39,7 +39,8 @@ from polyrew.rewrite import (
     print_trace,
     validate_trace,
 )
-from polyrew.rewrite import _wire_kinds
+from polyrew.diagram import _ports
+from polyrew.rewrite import _connected, _kinds
 import polyrew.rewrite
 from polyrew.coherence import get_preset
 from polyrew.critical import critical_pairs_on
@@ -252,16 +253,20 @@ class TestWireKinds:
     that must never lose a match, and contexts built on first read must be
     the ones built eagerly."""
 
+    @staticmethod
+    def kinds(d):
+        return _kinds(d, _ports(d)[0])
+
     def test_kinds(self, mon_polygraph):
         p = counit_polygraph()
-        assert _wire_kinds(parse_diagram(
+        assert self.kinds(parse_diagram(
             "(mu * id 1) ; mu", mon_polygraph.signature)) == {
                 "mu", ("mu", 0, "mu", 0)}
-        assert _wire_kinds(parse_diagram(
+        assert self.kinds(parse_diagram(
             "eta ; delta ; (id 1 * eps)", p.signature)) == {
                 "eta", "delta", "eps", ("eta", 0, "delta", 0),
                 ("delta", 1, "eps", 0)}
-        assert _wire_kinds(identity(2)) == frozenset()
+        assert self.kinds(identity(2)) == frozenset()
 
     @pytest.mark.parametrize("p, max_slices, max_width", [
         (get_preset("mon").polygraph, 3, 3),
@@ -273,15 +278,39 @@ class TestWireKinds:
         brute = TestFindMatches().brute_force_match_count
         rejected = 0
         for d in all_diagrams(p.signature, max_slices, max_width):
-            kinds = _wire_kinds(d)
+            feeds, consumers, _ = _ports(d)
+            # The component view ``find_matches`` reads off the same wiring.
+            assert _connected(feeds, consumers) == (components(d) == 1)
+            kinds = _kinds(d, feeds)
             for pat in pats:
-                if not _wire_kinds(pat) <= kinds:
+                if not self.kinds(pat) <= kinds:
                     rejected += 1
                     assert not brute(d, pat), (print_diagram(d), print_diagram(pat))
             got = [(m.pattern, m.occurrences, m.context)
                    for m in find_matches(d, *pats)]
             assert got == unfiltered_matches(d, *pats), print_diagram(d)
         assert rejected
+
+    def test_rejection_canonicalizes_nothing(self, mon_polygraph,
+                                             monkeypatch):
+        # The kinds test reads ``d`` as given: when it rejects every
+        # pattern, ``d`` is not canonicalized.
+        sig = mon_polygraph.signature
+        alpha = mon_polygraph.rule("alpha").lhs
+        find_matches(alpha, alpha)  # the pattern's own form, cached
+        calls = []
+        canonicalize = polyrew.rewrite.canonical_form
+
+        def counting(d):
+            calls.append(d)
+            return canonicalize(d)
+
+        monkeypatch.setattr(polyrew.rewrite, "canonical_form", counting)
+        assert find_matches(parse_diagram("mu * mu", sig), alpha) == []
+        assert calls == []
+        d = parse_diagram("(mu * id 1) ; mu", sig)
+        assert len(find_matches(d, alpha)) == 1
+        assert calls == [d]
 
     def test_reading_first_context_builds_one(self, mon_polygraph, monkeypatch):
         built = []
