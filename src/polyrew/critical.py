@@ -194,27 +194,12 @@ class Branching:
         return f"{self.rules[0]} / {self.rules[1]} on {print_diagram(self.source)}"
 
 
-def _outer_whiskers(d: Diagram) -> tuple[bool, bool]:
-    """Whether an identity wire passes untouched along the left or right
-    edge of ``d``.
-
-    Read off ``d``'s own slice order: an exchange never moves a slice onto
-    an edge wire, so the answer is the same for every representative of
-    the exchange class.
-    """
-    if d.input_width < 1:
-        return False, False
-    left = all(s.offset >= 1 for s in d.slices)
-    right = all(
-        s.offset + s.gen.arity <= w - 1 for s, w in zip(d.slices, d.widths())
-    )
-    return left, right
-
-
 def _tight(slices) -> Diagram:
     """``slices`` on the fewest wires, so that no outer wire passes
     untouched: shifted until one touches the left edge, over the least
-    input width for which they chain."""
+    input width for which they chain.  So a diagram with a slice has an
+    outer whisker exactly when it is not its own tight form, and so has each
+    exchange representative: an exchange never moves a slice onto an edge."""
     m = min(s.offset for s in slices)
     slices = tuple(s.shifted(-m) for s in slices)
     w0 = delta = 0
@@ -265,10 +250,11 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     matches (a peelable top/bottom context).  Slices outside the union that
     are stuck *between* the redexes are allowed: they make the branching
     entangled, not reducible.  Neither test depends on the pair, so both are
-    decided once for ``u`` (and only here): the whiskers from one
-    representative, and the ``ends`` (occurrences some representative puts
-    first or last) from walking each slice alone up and down through its
-    neighbours (``_ends``); a pair is minimal when its union covers ``ends``.
+    decided once for ``u`` (and only here): there is no whisker when ``u``
+    is its own tight form (:func:`_tight`), and the ``ends`` (occurrences
+    some representative puts first or last) come from walking each slice
+    alone up and down through its neighbours (``_ends``); a pair is minimal
+    when its union covers ``ends``.  A ``u`` with no slice has no match.
 
     The pairs are read off the walk along ``u``'s wires (:func:`_pairs`),
     each chosen match framed by its window from its least slice, as in
@@ -276,7 +262,7 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     :func:`find_matches`' matches.  Pairs keep the order of the matches.
     """
     u = canonical_form(u)
-    if any(_outer_whiskers(u)):
+    if not u.slices or _tight(u.slices) != u:
         return []
     sources, slots = _source_slots(p)
     walk = _match_walk(u, slots)

@@ -90,8 +90,11 @@ class GeneratorSym:
         key = name, arity, coarity
         g = _GENERATORS.get(key)
         if g is None:
-            if not name:
-                raise DiagramError("generator name must be nonempty")
+            # One identifier token, as ``_tokenize`` reads one, and not the
+            # keyword ``id``: so a printed diagram names it and parses back.
+            if (name == "id" or not re.fullmatch(r"\w+", name)
+                    or not (name[0].isalpha() or name[0] == "_")):
+                raise DiagramError(f"{name!r} is not a generator name the grammar reads")
             if arity < 0 or coarity < 0:
                 raise DiagramError("arity and coarity must be naturals")
             if name == "tau" and (arity, coarity) != (2, 2):
@@ -201,7 +204,9 @@ class Diagram:
 
     The width chain ``w_0 = input_width``,
     ``w_{i+1} = w_i - arity(g_i) + coarity(g_i)`` must be well defined, with
-    each slice fitting its width: ``offset_i + arity(g_i) <= w_i``.
+    each slice fitting its width: ``offset_i + arity(g_i) <= w_i``.  The
+    constructor checks it and keeps the last width as ``output_width``, an
+    attribute that no field, ``==``, ``hash`` or ``repr`` reads.
     """
 
     input_width: int
@@ -219,6 +224,7 @@ class Diagram:
                     f"width {w}"
                 )
             w += s.gen.coarity - s.gen.arity
+        object.__setattr__(self, "output_width", w)
 
     # -- width bookkeeping ------------------------------------------------
 
@@ -228,13 +234,6 @@ class Diagram:
         for s in self.slices:
             ws.append(ws[-1] - s.gen.arity + s.gen.coarity)
         return ws
-
-    @property
-    def output_width(self) -> int:
-        w = self.input_width
-        for s in self.slices:
-            w += s.gen.coarity - s.gen.arity
-        return w
 
     def __len__(self) -> int:
         return len(self.slices)
@@ -271,7 +270,7 @@ def vcomp(*ds: Diagram) -> Diagram:
                 f"vertical composition mismatch: output width "
                 f"{upper.output_width} vs input width {lower.input_width}"
             )
-    return Diagram(ds[0].input_width, [s for d in ds for s in d.slices])
+    return Diagram(ds[0].input_width, sum((d.slices for d in ds), ()))
 
 
 def hcomp(*ds: Diagram) -> Diagram:
@@ -813,8 +812,7 @@ def print_diagram(d: Diagram) -> str:
     if not d.slices:
         return f"id {d.input_width}"
     parts = []
-    w = d.input_width
-    for s in d.slices:
+    for s, w in zip(d.slices, d.widths()):
         right = w - s.offset - s.gen.arity
         factors = []
         if s.offset:
@@ -824,5 +822,4 @@ def print_diagram(d: Diagram) -> str:
             factors.append(f"id {right}")
         term = " * ".join(factors)
         parts.append(f"({term})" if len(factors) > 1 else term)
-        w += s.gen.coarity - s.gen.arity
     return " ; ".join(parts)

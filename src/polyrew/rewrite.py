@@ -236,8 +236,8 @@ def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset]:
 def _pattern_slots(*patterns: Diagram) -> dict | None:
     """Where each generator sits in ``patterns``, for :func:`_match_walk`;
     None unless every pattern is closed: a slice feeds each of its output
-    wires, so none passes through, and the walk from one slice reaches
-    every slice.
+    wires, so none passes through, and its slices are one wire-connected
+    component (:func:`_connected`), so the walk from one reaches them all.
 
     A slot is ``(pattern index, slice, steps, checks, outputs)``: the
     pattern's wires (:func:`_ports`) walked breadth first from that slice.
@@ -251,7 +251,7 @@ def _pattern_slots(*patterns: Diagram) -> dict | None:
     for n, pattern in enumerate(patterns):
         gens = [s.gen for s in pattern.slices]
         feeds, consumers, outputs = _ports(pattern)
-        if None in outputs:
+        if None in outputs or not _connected(feeds, consumers):
             return None
         for t, g in enumerate(gens):
             steps, checks, order, taken = [], [], [t], set()
@@ -271,8 +271,6 @@ def _pattern_slots(*patterns: Diagram) -> dict | None:
                         else:
                             order.append(u)
                             steps.append((a, down, port, u, uport, gens[u]))
-            if len(order) < len(gens):
-                return None
             slots.setdefault(g, []).append((n, t, steps, checks, outputs))
     return slots
 

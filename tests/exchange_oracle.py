@@ -22,6 +22,10 @@ read off them.
 ``free_units_oracle`` is the free-unit map ``_lex_min`` settles ties with,
 read off a wire list of its own: the reference for ``diagram._free_units``,
 which reads the output feeds of ``diagram._ports``.
+
+``outer_whiskers`` reads each edge wire of a diagram off its slices: the
+reference for the whisker test of ``critical.critical_pairs_on``, which
+asks whether the source is its own ``critical._tight`` form.
 """
 
 from typing import Iterator
@@ -198,3 +202,20 @@ def free_units_oracle(slices) -> dict[int, int]:
             wires += [None] * (end - len(wires))
         wires[o:end] = [x] if g.arity == 0 and g.coarity == 1 else [None] * g.coarity
     return {x: p for p, x in enumerate(wires) if x is not None}
+
+
+def outer_whiskers(d: Diagram) -> tuple[bool, bool]:
+    """Whether an identity wire passes untouched along the left or right
+    edge of ``d``.
+
+    Read off ``d``'s own slice order: an exchange never moves a slice onto
+    an edge wire, so the answer is the same for every representative of
+    the exchange class.
+    """
+    if d.input_width < 1:
+        return False, False
+    left = all(s.offset >= 1 for s in d.slices)
+    right = all(
+        s.offset + s.gen.arity <= w - 1 for s, w in zip(d.slices, d.widths())
+    )
+    return left, right

@@ -622,6 +622,14 @@ class TestInputErrors:
         code, out, err = run(capsys, "critical", "--polygraph", str(poly))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_identity_keyword_as_generator(self, capsys, tmp_path):
+        # No rule or expression could name it: ``id`` reads as an identity.
+        poly = tmp_path / "id.poly"
+        poly.write_text("gen id : 2 -> 1\n")
+        code, out, err = run(capsys, "export", "--polygraph", str(poly))
+        assert (code, out, err) == (
+            2, "", "error: 'id' is not a generator name the grammar reads\n")
+
     @pytest.mark.parametrize("text, message", [
         (ALPHA_TRACE + ALPHA_TRACE, "line 2: duplicate trace header"),
         ("step alpha + top=id 3 left=0 right=0 bot=id 1\n" + ALPHA_TRACE,

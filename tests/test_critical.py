@@ -59,7 +59,6 @@ from polyrew.critical import (
     CriticalError,
     FailureReport,
     FAMILY_TAGS,
-    _outer_whiskers,
     _stuck_splices,
     _tight,
     asphericity_pipeline,
@@ -82,7 +81,7 @@ from polyrew.termination import mon_interpretation
 from conftest import cup_polygraph, make_as_polygraph, make_mon_polygraph
 from exchange_oracle import (
     _commute, _fronts, _swap, exchange_closure, id_keyed_closure,
-    occurrences_in, unfiltered_matches)
+    occurrences_in, outer_whiskers, unfiltered_matches)
 from test_diagram import all_diagrams as every_diagram
 
 
@@ -696,12 +695,18 @@ class TestMinimality:
              else request.getfixturevalue(preset))
         for d in all_diagrams(p.signature, max_slices, max_width):
             whiskers = {
-                _outer_whiskers(Diagram(d.input_width, member))
+                outer_whiskers(Diagram(d.input_width, member))
                 for member in exchange_closure(d)
             }
             assert len(whiskers) == 1, print_diagram(d)
             got = {_branching_key(b) for b in critical_pairs_on(p, d)}
             assert got == reference_keys(p, d), print_diagram(d)
+            # ``critical_pairs_on`` decides whiskers by the tight form.
+            if d.slices:
+                assert (_tight(d.slices) != d) == any(outer_whiskers(d)), (
+                    print_diagram(d))
+            else:
+                assert critical_pairs_on(p, d) == [], print_diagram(d)
 
 
 class TestCutsAndEnds:
@@ -779,7 +784,7 @@ def four_widening_splices(u, gens):
                     at_end = len(above) in fronts_ends(d)
                     assert _reaches_end(above, s, below) == at_end, (
                         print_diagram(d), len(above))
-                    if not at_end and not any(_outer_whiskers(d)):
+                    if not at_end and not any(outer_whiskers(d)):
                         yield d
 
 
@@ -795,7 +800,7 @@ def test_stuck_splices_match_four_widenings(preset):
         return {(d.input_width, canonical_form(d).slices) for d in ds}
 
     for u in dict.fromkeys(b.source for b in enumerate_critical_branchings(p)):
-        new = [d for d in _stuck_splices(u, gens) if not any(_outer_whiskers(d))]
+        new = [d for d in _stuck_splices(u, gens) if not any(outer_whiskers(d))]
         assert classes(new) == classes(four_widening_splices(u, gens)), (
             print_diagram(u))
 
@@ -818,7 +823,7 @@ def padded_splices(u, gens):
                     d = Diagram(base.input_width, above + (s,) + below)
                 except DiagramError:
                     continue
-                left, right = _outer_whiskers(d)
+                left, right = outer_whiskers(d)
                 yield Diagram(d.input_width - left - right,
                               tuple(t.shifted(-left) for t in d.slices))
 

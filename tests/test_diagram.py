@@ -1,6 +1,7 @@
 """Tests for the diagram data model, exchange canonical form, and the grammar."""
 
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -87,6 +88,18 @@ class TestConstruction:
         d = Diagram(3, (Slice(0, MU), Slice(0, MU)))
         assert d.widths() == [3, 2, 1]
 
+    def test_output_width_is_not_a_field(self, mon_sig):
+        # The constructor keeps the output width; equality, hashing and
+        # the text stay those of the two fields.
+        assert [f.name for f in dataclasses.fields(Diagram)] == [
+            "input_width", "slices"]
+        d = Diagram(3, (Slice(0, MU), Slice(0, MU)))
+        e = vcomp(parse_diagram("mu * id 1", mon_sig), identity(2),
+                  generator_diagram(MU))
+        assert e == d and type(e.slices) is tuple
+        assert (hash(e), repr(e)) == (hash(d), repr(d))
+        assert e.output_width == 1
+
     def test_bad_slice_rejected(self):
         with pytest.raises(DiagramError):
             Diagram(2, (Slice(1, MU),))
@@ -114,7 +127,8 @@ class TestGeneratorSym:
     """Generators are interned on ``(name, arity, coarity)``."""
 
     @pytest.mark.parametrize("args", [("", 1, 1), ("g", -1, 1), ("g", 1, -1),
-                                      ("tau", 1, 1)])
+                                      ("tau", 1, 1), ("id", 1, 1), ("2x", 1, 1),
+                                      ("a b", 1, 1), ("a;b", 1, 1)])
     def test_invalid_raises_and_is_not_interned(self, args):
         for _ in range(2):
             with pytest.raises(DiagramError):
@@ -326,6 +340,7 @@ class TestExchangeOracle:
     def check_all(sig, max_slices, max_input_width):
         mismatches = 0
         for d in all_diagrams(sig, max_slices, max_input_width):
+            assert d.output_width == d.widths()[-1]
             closure = exchange_closure(d)
             canon = canonical_form(d).slices
             assert canon in closure
