@@ -29,7 +29,6 @@ from .diagram import (
     Slice,
     TAU,
     canonical_form,
-    diagram_equal,
     parse_diagram,
     print_diagram,
     vcomp,
@@ -155,9 +154,9 @@ def get_preset(name: str) -> Preset:
 def structural_normal_form(d: Diagram, p: Polygraph) -> Diagram:
     """The canonical form of ``d``'s normal form under the structural rules.
 
-    Memoized on the exchange class of ``d``: ``normalize`` matches on the
-    canonical subject, so the result depends only on ``canonical_form(d)``.
-    A call that raises (``BudgetExceededError``) is not cached.
+    For a pro that is ``canonical_form(d)``.  In general it depends only on
+    ``canonical_form(d)``, since ``normalize`` matches on the canonical
+    subject, and is memoized on it; a ``BudgetExceededError`` is not.
     """
     return _structural_normal_form(canonical_form(d), p)
 
@@ -172,17 +171,12 @@ def _structural_normal_form(d: Diagram, p: Polygraph) -> Diagram:
 
 
 def congruence_equiv(p: Polygraph):
-    """2-cell equality for ``p``: modulo exchange for pros, modulo the
-    structural S-rules as well for props."""
-    if not structural_rules(p):
-        return diagram_equal
-
-    def equiv(d1: Diagram, d2: Diagram) -> bool:
-        return diagram_equal(
-            structural_normal_form(d1, p), structural_normal_form(d2, p)
-        )
-
-    return equiv
+    """2-cell equality for ``p``: ``==`` of structural normal forms, so
+    modulo exchange for pros and modulo the S-rules as well for props.
+    That is ``diagram_equal`` on them unless a prop with structural rules
+    has a coarity-0 generator, which ``s_construction`` excludes."""
+    return lambda d1, d2: (
+        structural_normal_form(d1, p) == structural_normal_form(d2, p))
 
 
 # -- leaf bundles and the algebraic decomposition --------------------------
@@ -349,16 +343,12 @@ def decide_coherence(preset: Preset, t1: Trace, t2: Trace) -> Decision:
 
     ``NotParallel`` when sources or targets differ under the preset's 2-cell
     congruence.  Otherwise: aspherical mode answers ``Equal``; braided mode
-    compares the braid invariants.
+    only then builds the braid invariants and compares them.
     """
-    p = preset.polygraph
-    equiv = congruence_equiv(p)
-    braided = preset.decision_mode != "aspherical"
+    equiv = congruence_equiv(preset.polygraph)
     # Each chain ends with its trace's target, so no target is plugged again.
     chain1 = validate_trace(t1, equiv)
-    b1 = braid_of_trace(t1, p, chain1) if braided else None
     chain2 = validate_trace(t2, equiv)
-    b2 = braid_of_trace(t2, p, chain2) if braided else None
     target1, target2 = chain1[-1], chain2[-1]
     evidence = {
         "preset": preset.name,
@@ -369,8 +359,9 @@ def decide_coherence(preset: Preset, t1: Trace, t2: Trace) -> Decision:
     }
     if not (equiv(t1.source, t2.source) and equiv(target1, target2)):
         return Decision("NotParallel", evidence)
-    if not braided:
+    if preset.decision_mode == "aspherical":
         return Decision("Equal", evidence)
+    b1, b2 = braid_of_trace(t1, chain=chain1), braid_of_trace(t2, chain=chain2)
     nf1, nf2 = garside_nf(b1), garside_nf(b2)
     evidence.update(
         braid1=str(b1),

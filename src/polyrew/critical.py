@@ -224,9 +224,8 @@ def _pairs(holding, ends):
     One match of such a pair holds the least end.  The other holds the
     least end the first misses or, when it misses none, overlaps it, and so
     holds one of its slices.  A pair may come more than once, either way.
+    ``ends`` is never empty: callers pass the ends of a diagram with a slice.
     """
-    if not ends:
-        return
     for first in holding(min(ends)):
         occ = first[1]
         missed = ends - occ

@@ -68,6 +68,12 @@ class BudgetExceededError(RewriteError):
 FAMILIES = ("algebraic", "symmetry", "yang_baxter", "naturality")
 
 
+def _check_name(name: object, kind: str) -> None:
+    """Require one ``\\w+`` word, the name token the file formats read back."""
+    if type(name) is not str or not re.fullmatch(r"\w+", name):
+        raise RewriteError(f"{name!r} is not a {kind} name the file formats read")
+
+
 @dataclass(frozen=True)
 class Rule:
     """A 3-cell ``name : lhs => rhs`` between parallel 2-cells."""
@@ -78,6 +84,7 @@ class Rule:
     family: str = "algebraic"
 
     def __post_init__(self) -> None:
+        _check_name(self.name, "rule")
         if self.family not in FAMILIES:
             raise RewriteError(f"unknown rule family {self.family!r}")
         if self.lhs.input_width != self.rhs.input_width:
@@ -686,6 +693,7 @@ def parse_trace(text: str, p: Polygraph) -> Trace:
 
 
 def print_trace(t: Trace, name: str = "t") -> str:
+    _check_name(name, "trace")
     lines = [f"trace {name} on {print_diagram(t.source)}"]
     for s in t.steps:
         sign = "+" if s.direction == "forward" else "-"

@@ -52,6 +52,14 @@ class TestBasics:
         with pytest.raises(BraidError):
             word(2, (2, 1))
 
+    def test_bad_sign(self):
+        with pytest.raises(BraidError, match="sign must be"):
+            word(2, (1, 2))
+
+    def test_equal_strand_mismatch(self):
+        with pytest.raises(BraidError, match="strand mismatch: 2 vs 3"):
+            braid_equal(BraidWord(2), BraidWord(3))
+
     def test_zero_strands(self):
         # The braid group on 0 strands is trivial: only the empty word.
         e = BraidWord(0)

@@ -612,10 +612,11 @@ class TestInputErrors:
         (MU_GEN + "rule a : id 1 => id 1\n",
          "rule a: lhs must contain a generator"),
         (MU_GEN + "rule a : mu => id 2\n", "rule a: output widths differ"),
+        (MU_GEN + "rule a : mu => id 1\n", "rule a: input widths differ"),
         (MU_GEN + "rule a : mu => mu\nrule a : mu => mu\n",
          "duplicate rule names"),
     ], ids=["duplicate-generator", "empty-lhs", "output-widths",
-            "duplicate-rule"])
+            "input-widths", "duplicate-rule"])
     def test_polygraph_file(self, capsys, tmp_path, text, message):
         poly = tmp_path / "bad.poly"
         poly.write_text(text)
@@ -641,8 +642,11 @@ class TestInputErrors:
          "whiskers (0, 0)"),
         (ALPHA_TRACE + "step alpha + top=id 3 left=0 right=0 bot=id 2\n",
          "vertical composition mismatch: output width 1 vs input width 2"),
+        (ALPHA_TRACE + "step alpha +\n",
+         "cannot parse trace line 2: 'step alpha +'"),
+        ("# no header\n", "trace file has no 'trace ... on ...' header"),
     ], ids=["duplicate-header", "step-before-header", "unknown-rule",
-            "top-width", "bottom-width"])
+            "top-width", "bottom-width", "unparseable-line", "no-header"])
     def test_trace_file(self, capsys, tmp_path, text, message):
         bad, good = tmp_path / "bad.tr", tmp_path / "good.tr"
         bad.write_text(text)

@@ -1,6 +1,7 @@
 """Tests for the preset catalogue, leaf bundles, the permutation/pure
 decomposition, the braid invariant of traces, and the coherence deciders."""
 
+import itertools
 import json
 import random
 
@@ -12,6 +13,7 @@ from polyrew.coherence import (
     CoherenceError,
     Decision,
     PRESET_NAMES,
+    Preset,
     braid_of_trace,
     congruence_equiv,
     decide_coherence,
@@ -59,6 +61,7 @@ from polyrew.rewrite import (
 from conftest import identity_context
 from exchange_oracle import exchange_closure
 from test_critical import all_diagrams
+from test_diagram import all_diagrams as every_diagram
 
 
 BR = get_preset("br")
@@ -97,6 +100,10 @@ class TestPresets:
     def test_unknown(self):
         with pytest.raises(CoherenceError, match="unknown preset"):
             get_preset("monoid")
+
+    def test_bad_decision_mode(self):
+        with pytest.raises(CoherenceError, match="bad decision mode 'free'"):
+            Preset("br", BR.polygraph, "free")
 
     def test_rule_sets(self):
         assert [r.name for r in get_preset("as").polygraph.rules] == ["alpha"]
@@ -388,6 +395,25 @@ class TestDecide:
         t2 = Trace(Q("mu"), ())
         assert decide_coherence(BR, t1, t2).outcome == "NotParallel"
 
+    def test_braids_only_for_parallel_pairs(self, monkeypatch):
+        # A pair that is not parallel is answered before any braid is built;
+        # a parallel pair builds one braid per trace.
+        calls = []
+
+        def counting(t, *args, **kwargs):
+            calls.append(t)
+            return braid_of_trace(t, *args, **kwargs)
+
+        monkeypatch.setattr(coherence, "braid_of_trace", counting)
+        src = Q("tau ; mu")
+        t1 = Trace(src, (step_at("beta", "forward", src),))
+        assert decide_coherence(BR, t1, Trace(Q("mu"), ())).outcome == \
+            "NotParallel"
+        assert calls == []
+        leg1, leg2 = daleth1_legs()
+        assert decide_coherence(BR, leg1, leg2).outcome == "Equal"
+        assert calls == [leg1, leg2]
+
     def test_reflexive_and_symmetric(self):
         leg1, leg2 = daleth1_legs()
         t1, t2 = beta_vs_whiskered_inverse()
@@ -603,6 +629,35 @@ class TestStructuralNormalFormMemo:
                     structural_normal_form(d, p)
         assert structural_normal_form(d, p) == \
             uncached_structural_normal_form(d, p)
+
+
+class TestCongruenceEquiv:
+    @pytest.mark.parametrize("name, max_slices, max_width, pairs, equal", [
+        ("br", 3, 3, 11800, 322),
+        ("sym_prime", 3, 3, 11800, 322),
+        ("perm", 5, 4, 68034, 5096),
+        ("mon", 4, 3, 14454, 350),
+    ])
+    def test_is_diagram_equal_of_structural_normal_forms(
+            self, name, max_slices, max_width, pairs, equal):
+        """``==`` on structural normal forms agrees with ``diagram_equal``
+        on them, for every pair of small diagrams of one input width; for
+        a pro, with ``diagram_equal`` itself."""
+        p = get_preset(name).polygraph
+        equiv = congruence_equiv(p)
+        diagrams = every_diagram(p.signature, max_slices, max_width, max_width)
+        seen = found = 0
+        for d1, d2 in itertools.combinations(diagrams, 2):
+            if d1.input_width != d2.input_width:
+                continue
+            verdict = equiv(d1, d2)
+            assert verdict == diagram_equal(structural_normal_form(d1, p),
+                                            structural_normal_form(d2, p))
+            if not structural_rules(p):
+                assert verdict == diagram_equal(d1, d2)
+            seen += 1
+            found += verdict
+        assert (seen, found) == (pairs, equal)
 
 
 class TestAlgebraicKey:

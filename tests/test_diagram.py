@@ -104,6 +104,10 @@ class TestConstruction:
         with pytest.raises(DiagramError):
             Diagram(2, (Slice(1, MU),))
 
+    def test_negative_input_width_rejected(self):
+        with pytest.raises(DiagramError, match="input width must be a natural"):
+            Diagram(-1)
+
     def test_vcomp_mismatch(self):
         with pytest.raises(DiagramError):
             identity(2).vcomp(identity(3))
@@ -291,6 +295,10 @@ class TestNaryComposition:
             assert outcome(vcomp, ds) == want
             mismatches += isinstance(want, str)
         assert 0 < mismatches < 300
+
+    def test_vcomp_of_nothing_raises(self):
+        with pytest.raises(DiagramError, match="at least one diagram"):
+            vcomp()
 
     def test_long_star_term_parses_in_one_composite(self, mon_sig):
         d = parse_diagram(" * ".join(["mu"] * 4000), mon_sig)

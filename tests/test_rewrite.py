@@ -11,6 +11,7 @@ from polyrew.diagram import (
     Diagram,
     DiagramError,
     ParseError,
+    Signature,
     Slice,
     canonical_form,
     diagram_equal,
@@ -63,6 +64,19 @@ class TestFindMatches:
         p = mon_polygraph
         ms = find_matches(identity(3), p.rule("alpha").lhs)
         assert ms == []
+
+    def test_empty_pattern_rejected(self, mon_polygraph):
+        lhs = mon_polygraph.rule("alpha").lhs
+        with pytest.raises(RewriteError, match="at least one generator"):
+            find_matches(lhs, lhs, identity(1))
+
+    def test_match_equality_and_hash(self, mon_polygraph):
+        # Equal matches found apart hash alike; a non-match is never equal.
+        lhs = mon_polygraph.rule("alpha").lhs
+        m, again = find_matches(lhs, lhs)[0], find_matches(lhs, lhs)[0]
+        assert m is not again and m == again
+        assert hash(m) == hash(again) and len({m, again}) == 1
+        assert m != m.key() and m.__eq__(m.key()) is NotImplemented
 
     def test_self_match(self, mon_polygraph):
         p = mon_polygraph
@@ -474,6 +488,15 @@ class TestSteps:
         back = fwd.inverse().target()
         assert diagram_equal(back, d)
 
+    def test_bad_direction_rejected(self, mon_polygraph):
+        alpha = mon_polygraph.rule("alpha")
+        with pytest.raises(RewriteError, match="bad step direction 'up'"):
+            Step(alpha, "up", identity_context(alpha.lhs))
+
+    def test_negative_whisker_rejected(self):
+        with pytest.raises(RewriteError, match="whiskers must be naturals"):
+            Context(identity(1), -1, 0, identity(1))
+
     def test_stale_context(self, mon_polygraph):
         p = mon_polygraph
         alpha = p.rule("alpha")
@@ -712,6 +735,38 @@ rule rho : (id 1 * eta) ; mu => id 1
     def test_bad_line(self):
         with pytest.raises(RewriteError, match="line 1"):
             parse_polygraph("nonsense here")
+
+    def test_bad_rules_rejected(self, mon_polygraph):
+        alpha, lam = mon_polygraph.rule("alpha"), mon_polygraph.rule("lambda")
+        with pytest.raises(RewriteError, match="unknown rule family 'bogus'"):
+            Rule("a", alpha.lhs, alpha.rhs, family="bogus")
+        as_sig = Signature("As", (MU,))
+        with pytest.raises(RewriteError,
+                           match="rule lambda uses generator 'eta' outside "
+                                 "signature 'As'"):
+            Polygraph(as_sig, (lam,))
+
+    @pytest.mark.parametrize("name", ["a b", "", "a;b", "x-y", "a\n", 1])
+    def test_unreadable_names_rejected(self, mon_polygraph, name):
+        # A rule or trace name is printed as one ``\w+`` token and read
+        # back as one, so any other name could not round-trip.
+        alpha = mon_polygraph.rule("alpha")
+        with pytest.raises(RewriteError, match="not a rule name"):
+            Rule(name, alpha.lhs, alpha.rhs)
+        with pytest.raises(RewriteError, match="not a trace name"):
+            print_trace(Trace(alpha.lhs, ()), name)
+
+    @pytest.mark.parametrize("name", ["rule", "2x", "é"])
+    def test_word_names_round_trip(self, mon_polygraph, name):
+        alpha = mon_polygraph.rule("alpha")
+        p = Polygraph(mon_polygraph.signature,
+                      (Rule(name, alpha.lhs, alpha.rhs),))
+        back = parse_polygraph(print_polygraph(p), name="Mon")
+        assert [r.name for r in back.rules] == [name]
+        step = Step(p.rules[0], "forward", identity_context(alpha.lhs))
+        text = print_trace(Trace(alpha.lhs, (step,)), name)
+        assert text.startswith(f"trace {name} on ")
+        assert parse_trace(text, back).steps[0].rule.name == name
 
     def test_trace_shares_repeated_expressions(self, mon_polygraph):
         text = (
