@@ -129,11 +129,10 @@ def _build_preset(name: str) -> Preset:
         )
         mode = "aspherical" if name == "sym" else "braided"
         return Preset(name, p, mode)
-    if name == "sym_prime":
-        p = _with_commutativity(_mon_polygraph("SymPrime"), "SymPrime",
-                                with_gamma=True)
-        return Preset("sym_prime", p, "aspherical", expected_proper=10)
-    raise CoherenceError(f"unknown preset {name!r}")
+    # ``get_preset`` has checked the name, so only sym_prime is left.
+    p = _with_commutativity(_mon_polygraph("SymPrime"), "SymPrime",
+                            with_gamma=True)
+    return Preset("sym_prime", p, "aspherical", expected_proper=10)
 
 
 PRESET_NAMES = ("as", "mon", "sym", "sym_prime", "br", "perm")

@@ -485,7 +485,13 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
 
 @dataclass(frozen=True)
 class Step:
-    """One directed, whiskered rule application."""
+    """One directed, whiskered rule application.
+
+    :meth:`source` and :meth:`target` plug the context once each and keep
+    the result on the instance, outside the fields, so ``==``, ``hash``
+    and ``repr`` read the rule, direction and context alone.  A failed
+    plug is not kept.
+    """
 
     rule: Rule
     direction: str  # "forward" | "backward"
@@ -496,10 +502,20 @@ class Step:
             raise RewriteError(f"bad step direction {self.direction!r}")
 
     def source(self) -> Diagram:
-        return self.context.plug(self.rule.side(self.direction))
+        # Kept in ``__dict__`` as ``Polygraph.__hash__`` keeps its hash:
+        # a ``cached_property`` takes a lock on every read before 3.12.
+        d = self.__dict__.get("_source")
+        if d is None:
+            d = self.context.plug(self.rule.side(self.direction))
+            object.__setattr__(self, "_source", d)
+        return d
 
     def target(self) -> Diagram:
-        return self.context.plug(self.rule.other_side(self.direction))
+        d = self.__dict__.get("_target")
+        if d is None:
+            d = self.context.plug(self.rule.other_side(self.direction))
+            object.__setattr__(self, "_target", d)
+        return d
 
     def inverse(self) -> "Step":
         flipped = "backward" if self.direction == "forward" else "forward"
@@ -642,9 +658,26 @@ def print_polygraph(p: Polygraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_RE = re.compile(r"trace\s+(\w+)\s+on\s+(.*)")
 _STEP_RE = re.compile(
     r"step\s+(\w+)\s+([+-])\s+top=(.*?)\s+left=(\d+)\s+right=(\d+)\s+bot=(.*)"
 )
+
+
+@lru_cache(maxsize=1 << 12)
+def _trace_expr(text: str, p: Polygraph) -> Diagram:
+    """The diagram of one expression text of a trace file over ``p``."""
+    return parse_diagram(text, p.signature)
+
+
+@lru_cache(maxsize=1 << 12)
+def _trace_step(line: str, p: Polygraph) -> Step:
+    """The step of one stripped step line of a trace file over ``p``."""
+    rule, sign, top, left, right, bot = _STEP_RE.fullmatch(line).groups()
+    rule = p.rule(rule)
+    direction = "forward" if sign == "+" else "backward"
+    ctx = Context(_trace_expr(top, p), int(left), int(right), _trace_expr(bot, p))
+    return Step(rule, direction, ctx)
 
 
 def parse_trace(text: str, p: Polygraph) -> Trace:
@@ -652,39 +685,29 @@ def parse_trace(text: str, p: Polygraph) -> Trace:
 
     Header ``trace <name> on <expr>``; body lines
     ``step <rule> <+|-> top=<expr> left=<nat> right=<nat> bot=<expr>``.
-    Each distinct expression text is parsed once per call; its repeats
-    share the one (immutable) ``Diagram``.
+    Each distinct expression text and each distinct step line is parsed
+    once per process and polygraph, in two bounded memos: the traces of a
+    ``decide`` share the (immutable) ``Diagram`` and ``Step`` objects of
+    their common lines, and so the boundaries each step has plugged.  An
+    error is never memoized: a bad line raises again wherever it appears,
+    and an error that names a line names the one it is on.
     """
     source: Diagram | None = None
     steps: list[Step] = []
-    parsed: dict[str, Diagram] = {}
-
-    def parse(expr: str) -> Diagram:
-        d = parsed.get(expr)
-        if d is None:
-            d = parsed[expr] = parse_diagram(expr, p.signature)
-        return d
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.fullmatch(r"trace\s+(\w+)\s+on\s+(.*)", line)
+        m = _HEADER_RE.fullmatch(line)
         if m:
             if source is not None:
                 raise RewriteError(f"line {lineno}: duplicate trace header")
-            source = parse(m.group(2))
+            source = _trace_expr(m.group(2), p)
             continue
-        m = _STEP_RE.fullmatch(line)
-        if m:
+        if _STEP_RE.fullmatch(line):
             if source is None:
                 raise RewriteError(f"line {lineno}: step before trace header")
-            rule = p.rule(m.group(1))
-            direction = "forward" if m.group(2) == "+" else "backward"
-            ctx = Context(
-                parse(m.group(3)), int(m.group(4)), int(m.group(5)), parse(m.group(6))
-            )
-            steps.append(Step(rule, direction, ctx))
+            steps.append(_trace_step(line, p))
             continue
         raise RewriteError(f"cannot parse trace line {lineno}: {raw!r}")
     if source is None:

@@ -517,6 +517,34 @@ class TestSteps:
                     assert out.input_width == d.input_width
                     assert out.output_width == d.output_width
 
+    def test_boundaries_plugged_once(self, mon_polygraph):
+        p = mon_polygraph
+        alpha = p.rule("alpha")
+        d = parse_diagram("(mu * id 2) ; (mu * id 1) ; mu", p.signature)
+        ctx = find_matches(d, alpha.lhs)[0].context
+        for direction in ("forward", "backward"):
+            step = Step(alpha, direction, ctx)
+            fresh = Step(alpha, direction, ctx)
+            source, target = step.source(), step.target()
+            assert source == ctx.plug(alpha.side(direction))
+            assert target == ctx.plug(alpha.other_side(direction))
+            assert step.source() is source
+            assert step.target() is target
+            # The plugged boundaries are no fields: equality, hashing and
+            # printing read the step as if it had never been plugged.
+            assert [f.name for f in dataclasses.fields(step)] == [
+                "rule", "direction", "context"]
+            assert step == fresh and hash(step) == hash(fresh)
+            assert repr(step) == repr(fresh)
+
+    def test_failed_plug_is_not_kept(self, mon_polygraph):
+        alpha = mon_polygraph.rule("alpha")
+        step = Step(alpha, "forward", Context(identity(2), 0, 0, identity(1)))
+        for _ in range(2):
+            with pytest.raises(RewriteError, match="does not frame"):
+                step.source()
+        assert "_source" not in vars(step)
+
 
 def two_fold_plug(ctx, pattern):
     """``Context.plug`` as two binary vertical composites."""
@@ -781,6 +809,69 @@ rule rho : (id 1 * eta) ; mu => id 1
         assert t.source == parse_diagram("(mu * id 2) ; (mu * id 1) ; mu",
                                          mon_polygraph.signature)
         validate_trace(t)
+
+    def test_traces_share_parsed_lines(self, mon_polygraph, monkeypatch):
+        # Fresh memos, so every expression below is parsed here.
+        polyrew.rewrite._trace_expr.cache_clear()
+        polyrew.rewrite._trace_step.cache_clear()
+        parsed = []
+
+        def counting(text, sig):
+            parsed.append(text)
+            return parse_diagram(text, sig)
+
+        monkeypatch.setattr(polyrew.rewrite, "parse_diagram", counting)
+        shared = "step alpha + top=(mu * id 2) left=0 right=0 bot=id 1"
+        t1 = parse_trace(
+            "trace t on (mu * id 2) ; (mu * id 1) ; mu\n"
+            f"{shared}\n", mon_polygraph)
+        t2 = parse_trace(
+            "trace u on (mu * id 2) ; (mu * id 1) ; mu  # same source\n"
+            f"  {shared}\n"
+            "step alpha - top=(mu * id 2) left=0 right=0 bot=id 1\n",
+            mon_polygraph)
+        assert t2.source is t1.source
+        assert t2.steps[0] is t1.steps[0]
+        assert t2.steps[1] is not t1.steps[0]
+        assert t2.steps[1].context.top is t1.steps[0].context.top
+        assert t2.steps[1].context.bottom is t1.steps[0].context.bottom
+        assert sorted(parsed) == [
+            "(mu * id 2)", "(mu * id 2) ; (mu * id 1) ; mu", "id 1"]
+        validate_trace(t1)
+        validate_trace(t2)
+
+    def test_memos_keyed_on_polygraph(self):
+        br, mon = get_preset("br").polygraph, get_preset("mon").polygraph
+        text = "trace t on tau ; mu"
+        message = "unknown generator 'tau' at line 1, column 1"
+        for order in ((br, mon), (mon, br)):
+            polyrew.rewrite._trace_expr.cache_clear()
+            for p in order + order:
+                if p is br:
+                    assert len(parse_trace(text, p).source) == 2
+                else:
+                    with pytest.raises(ParseError) as exc:
+                        parse_trace(text, p)
+                    assert str(exc.value) == message
+
+    STEP = "step alpha + top=(mu * id 2) left=0 right=0 bot=id 1"
+
+    @pytest.mark.parametrize("header, bad, message", [
+        ("trace t on mu", "trace u on (mu * id 1) ; mu",
+         "line {}: duplicate trace header"),
+        ("", STEP, "line {}: step before trace header"),
+        ("trace t on mu", "stp" + STEP[4:],
+         "cannot parse trace line {}: " + repr("stp" + STEP[4:])),
+    ])
+    def test_errors_keep_their_line(self, mon_polygraph, header, bad, message):
+        # A valid parse first, so the memos hold every expression of ``bad``
+        # and its step.
+        parse_trace(f"trace t on (mu * id 1) ; mu\n{self.STEP}\n", mon_polygraph)
+        for lineno in (2, 4, 2):
+            text = header + "\n" * (lineno - 1) + bad + "\n"
+            with pytest.raises(RewriteError) as exc:
+                parse_trace(text, mon_polygraph)
+            assert str(exc.value) == message.format(lineno)
 
     def test_bad_expression_on_later_line(self, mon_polygraph):
         text = (
