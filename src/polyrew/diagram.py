@@ -18,7 +18,8 @@ walks of critical-branching enumeration, search breadth-first over the same
 states.  Given a *window* of slices, the same loop gives the least
 representative that emits them consecutively, in order; matching builds a
 context that way when the match was found by a walk along wires, which
-needs no closure.  ``diagram_equal`` compares
+needs no closure.  An input already in canonical order is recognised by
+one upward walk per slice and skips the loop.  ``diagram_equal`` compares
 canonical forms.  This is exact only when no generator has coarity 0: with
 one, the single-swap relation is not symmetric, and equal 2-cells can get
 different canonical forms.  Over ``eta : 0 -> 1``, ``delta : 1 -> 2`` and
@@ -621,14 +622,49 @@ def _follows(b: _Branch, window) -> bool:
     return True
 
 
+def _in_canonical_order(slices) -> bool:
+    """Whether ``slices`` is its own canonical form, each slice where it is.
+
+    Each slice ``j`` walks up through slices ``j - 1, j - 2, ...``, each
+    step :func:`_Branch.walk`'s, inline, until a blocker stops it; every
+    slice ``k`` it passes must have a key ``(offset, name)`` strictly less
+    than the walked slice's key just above ``k``.  Then ``_lex_min`` keeps
+    one branch and emits slice ``k`` in round ``k``: that slice's walk
+    moves nothing, so the fronts of round ``k`` are slice ``k`` and the
+    slices whose walks pass it, and none ties with it.  This holds for
+    arity-0 and coarity-0 generators too; a tie answers False, and
+    ``_lex_min`` settles it.
+    """
+    for j in range(1, len(slices)):
+        o, g = slices[j]
+        arity, name = g.arity, g.name
+        for k in range(j - 1, -1, -1):
+            ao, ag = slices[k]
+            if o + arity <= ao:
+                # Passed on the left: the key is not greater unless an
+                # arity-0 slice sits at ``ao`` with a greater name.
+                if o < ao or name <= ag.name:
+                    return False
+            elif o >= ao + ag.coarity:
+                o += ag.arity - ag.coarity
+                if o == ao and name <= ag.name:
+                    return False
+            else:
+                break
+    return True
+
+
 @lru_cache(maxsize=1 << 17)
 def canonical_form_with_ids(d: Diagram) -> tuple[Diagram, tuple[int, ...]]:
     """Canonical form plus the permutation of original slice indices.
 
     Returns ``(canon, ids)`` where ``ids[k]`` is the index in ``d.slices`` of
     the generator occurrence that ends up as slice ``k`` of the canonical
-    form.
+    form.  A diagram already in canonical order (:func:`_in_canonical_order`)
+    is its own form, with ids in order, and builds no ``_Branch``.
     """
+    if _in_canonical_order(d.slices):
+        return d, tuple(range(len(d)))
     entries = _lex_min(d)
     canon = Diagram(d.input_width, tuple(s for s, _ in entries))
     return canon, tuple(i for _, i in entries)
@@ -812,12 +848,14 @@ def print_diagram(d: Diagram) -> str:
     if not d.slices:
         return f"id {d.input_width}"
     parts = []
-    for s, w in zip(d.slices, d.widths()):
-        right = w - s.offset - s.gen.arity
+    w = d.input_width
+    for o, g in d.slices:
+        right = w - o - g.arity
+        w += g.coarity - g.arity
         factors = []
-        if s.offset:
-            factors.append(f"id {s.offset}")
-        factors.append(s.gen.name)
+        if o:
+            factors.append(f"id {o}")
+        factors.append(g.name)
         if right:
             factors.append(f"id {right}")
         term = " * ".join(factors)

@@ -504,7 +504,10 @@ class TestIterativeCanonicalForm:
         # tested against, from the branch's slice list: 3n - 2 reads.  A
         # loop that walks every remaining slice each round, or a walk that
         # runs past its blocker, makes n(n - 1)/2; both counts are checked
-        # as they grow, so either fails within a few rounds.
+        # as they grow, so either fails within a few rounds.  Both combs are
+        # already canonical, so ``canonical_form_with_ids`` answers them
+        # without a ``_Branch``: the walks are counted on ``_lex_min``, and
+        # the check that answers them is counted at the end.
         n = 10_000
         offsets = [0] * n if side == "left" else range(n - 1, -1, -1)
         d = Diagram(n + 1, tuple(Slice(off, MU) for off in offsets))
@@ -530,11 +533,19 @@ class TestIterativeCanonicalForm:
 
         monkeypatch.setattr(diagram_module._Branch, "__init__", counting_init)
         monkeypatch.setattr(diagram_module._Branch, "walk", counting_walk)
-        canon, ids = canonical_form_with_ids.__wrapped__(d)
+        entries = diagram_module._lex_min(d)
+        canon = Diagram(d.input_width, tuple(s for s, _ in entries))
+        ids = tuple(x for _, x in entries)
         assert (canon, ids) == (d, tuple(range(n)))
         # One read per position walked and one per exchange test at least:
         # the counters see the walk.
         assert reads >= walked + n - 1
+        # The check reads each walked slice once and one slice per exchange
+        # test: every walk stops under the slice above it.
+        reads = 0
+        checked = CountingSlices(d.slices)
+        assert diagram_module._in_canonical_order(checked)
+        assert reads - (n - 1) <= n - 1
 
     @staticmethod
     def front_candidates(entries):
@@ -721,6 +732,77 @@ class TestFreeUnitTies:
             assert diagram_module._free_units(d) == units, d
             several += len(units) >= 2
         assert several
+
+
+class TestCanonicalOrderCheck:
+    """``canonical_form_with_ids`` answers a diagram already in canonical
+    order (``_in_canonical_order``) without ``_lex_min``; every other one,
+    ties included, goes to ``_lex_min``."""
+
+    SIG = Signature("Seven", (MU, ETA, GeneratorSym("eps", 1, 0),
+                              GeneratorSym("delta", 1, 2),
+                              GeneratorSym("bubble", 0, 0),
+                              GeneratorSym("phi", 1, 1)), is_prop=True)
+
+    def test_matches_lex_min_on_all_small_diagrams(self):
+        # Every diagram of at most four slices, no wider than 3, over units,
+        # counits, splits, merges, the symmetry, a 0 -> 0 bubble and a
+        # 1 -> 1 generator: where the check fires, ``_lex_min`` keeps every
+        # slice where it is.
+        ds = all_diagrams(self.SIG, 4, 3, max_width=3)
+        assert len(ds) == 79_500
+        fired = 0
+        for d in ds:
+            entries = diagram_module._lex_min(d)
+            if diagram_module._in_canonical_order(d.slices):
+                fired += 1
+                assert entries == list(zip(d.slices, range(len(d)))), d
+            canon, ids = canonical_form_with_ids.__wrapped__(d)
+            assert list(zip(canon.slices, ids)) == entries, d
+        assert fired == 14_381
+
+    @staticmethod
+    def lex_min_calls(monkeypatch, d):
+        calls = []
+        lex_min = diagram_module._lex_min
+
+        def counting(d, window=()):
+            calls.append(d)
+            return lex_min(d, window)
+
+        monkeypatch.setattr(diagram_module, "_lex_min", counting)
+        canonical_form_with_ids.__wrapped__(d)
+        return len(calls)
+
+    @pytest.mark.parametrize("text", [
+        " * ".join(["mu"] * 1000),
+        "(mu * id 1) ; mu",
+        "(eta * id 2) ; (id 1 * mu) ; mu",
+    ])
+    def test_canonical_input_builds_no_branch(self, text, mon_sig, monkeypatch):
+        d = parse_diagram(text, mon_sig)
+
+        def refuse(cls, slices):
+            raise AssertionError("a _Branch was built")
+
+        monkeypatch.setattr(diagram_module._Branch, "start", classmethod(refuse))
+        assert canonical_form_with_ids.__wrapped__(d) == (d, tuple(range(len(d))))
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_parallel_eta_tie_goes_to_lex_min(self, k, monkeypatch):
+        # ``eta`` at offsets 0 .. k - 1: each walks up to offset 0 and ties.
+        d = TestIterativeCanonicalForm.side_by_side(k)
+        assert self.lex_min_calls(monkeypatch, d) == 1
+
+    def test_coarity0_example_goes_to_lex_min(self, monkeypatch):
+        # The example of ``test_coarity0_idempotence_known_gap``: the
+        # diagram and its canonical form, whose own form differs from it.
+        sig = Signature("MuEtaEps", (MU, ETA, GeneratorSym("eps", 1, 0)))
+        d = parse_diagram("(mu * id 2) ; (id 1 * eta * id 2) ; (eps * id 3)", sig)
+        canon = parse_diagram("(mu * id 2) ; (eps * id 2) ; (eta * id 2)", sig)
+        assert canonical_form_with_ids.__wrapped__(d)[0] == canon
+        for e in (d, canon):
+            assert self.lex_min_calls(monkeypatch, e) == 1
 
 
 class TestExchangeStates:
