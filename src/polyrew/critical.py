@@ -210,10 +210,10 @@ def _tight(slices) -> Diagram:
 
 
 @lru_cache(maxsize=1 << 6)
-def _source_slots(p: Polygraph) -> tuple[tuple[Diagram, ...], dict | None]:
-    """The canonical forms of ``p``'s rule sources and their slots."""
-    sources = tuple(canonical_form(r.lhs) for r in p.rules)
-    return sources, _pattern_slots(*sources)
+def _source_slots(p: Polygraph) -> tuple[tuple, dict | None]:
+    """The layout of ``p``'s rule sources; no walk slots if one is open."""
+    forms, slots = _pattern_slots(*(r.lhs for r in p.rules))
+    return forms, slots if all(closed for _, _, closed in forms) else None
 
 
 def _pairs(holding, ends):
@@ -263,7 +263,7 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     u = canonical_form(u)
     if not u.slices or _tight(u.slices) != u:
         return []
-    sources, slots = _source_slots(p)
+    forms, slots = _source_slots(p)
     walk = _match_walk(u, slots)
     if walk is None:
         held: dict[int, dict] = {}
@@ -275,7 +275,7 @@ def critical_pairs_on(p: Polygraph, u: Diagram) -> list[Branching]:
     else:
         holding = cache(walk)
         frame = lambda key: _window_context(
-            u, holding(min(key[1]))[key], sources[key[0]])
+            u, holding(min(key[1]))[key], forms[key[0]][0])
     order = lambda key: (key[0], sorted(key[1]))
     pairs = {tuple(sorted(pair, key=order))
              for pair in _pairs(holding, _ends(u))}

@@ -13,16 +13,16 @@ pattern with a kind the subject lacks cannot match and is skipped.  The
 subject's kinds and components are read off ``_ports``.  When every
 pattern left is closed (connected, with no pass-through wire) and no slice
 has coarity 0, each match is a convex, wire-connected set of slices, so a
-walk along wires from one slice lists the matches that hold it.  The walk's
-own layout of the patterns decides the first condition, and the walk the
-second.  A subject of more than one component is matched that way, so
-generators beside a redex cost no orders, and critical-pair enumeration
-settles its candidates that way.  The fallback is the exchange closure: it
-is enumerated once, and every pattern's canonical slice sequence is looked
-up in each member as a consecutive window under a uniform offset shift, so
-one pass serves all the rules of a polygraph.  It is exponential in the
-number of commuting slices, but complete.  A match builds its context only
-when it is read, the same on either path.
+walk along wires from one slice lists the matches that hold it.  One
+cached layout per pattern tuple holds each pattern's canonical form, kinds
+and closedness; the walk decides the coarity condition.  A subject of more
+than one component is matched that way, so generators beside a redex cost
+no orders, and critical-pair enumeration settles its candidates that way.
+The fallback is the exchange closure: it is enumerated once, and every
+pattern's canonical slice sequence is looked up in each member as a
+consecutive window under a uniform offset shift, so one pass serves all the
+rules of a polygraph.  It is exponential in the number of commuting slices,
+but complete.  Either way, a match builds its context only when read.
 
 Normalization applies the first match of the first applicable rule in
 declaration order.  Matches are ordered by their occurrence sets in canonical
@@ -232,19 +232,13 @@ def _connected(feeds, consumers) -> bool:
     return 0 < len(order) == len(feeds)
 
 
-@lru_cache(maxsize=1 << 12)
-def _pattern_form(pattern: Diagram) -> tuple[Diagram, frozenset]:
-    """A pattern's canonical form and wire kinds, built once per pattern."""
-    return (canonical_form(pattern),
-            frozenset(_kinds(pattern, _ports(pattern)[0])))
-
-
 @lru_cache(maxsize=1 << 8)
-def _pattern_slots(*patterns: Diagram) -> dict | None:
-    """Where each generator sits in ``patterns``, for :func:`_match_walk`;
-    None unless every pattern is closed: a slice feeds each of its output
-    wires, so none passes through, and its slices are one wire-connected
-    component (:func:`_connected`), so the walk from one reaches them all.
+def _pattern_slots(*patterns: Diagram) -> tuple[tuple, dict]:
+    """``(forms, slots)``, built once per tuple of ``patterns``: each
+    pattern's canonical form, wire kinds (:func:`_kinds`) and whether it is
+    closed (a slice feeds each output wire, and the slices are one
+    wire-connected component, :func:`_connected`, so a walk from one reaches
+    all); and where each generator sits in the closed ones, for the walk.
 
     A slot is ``(pattern index, slice, steps, checks, outputs)``: the
     pattern's wires (:func:`_ports`) walked breadth first from that slice.
@@ -254,13 +248,14 @@ def _pattern_slots(*patterns: Diagram) -> dict | None:
     wire no step took.  ``outputs`` are the ``(slice, port)`` pairs that
     feed the output wires of the pattern, in wire order.
     """
-    slots = {}
+    forms, slots = [], {}
     for n, pattern in enumerate(patterns):
-        gens = [s.gen for s in pattern.slices]
-        feeds, consumers, outputs = _ports(pattern)
-        if None in outputs or not _connected(feeds, consumers):
-            return None
-        for t, g in enumerate(gens):
+        canon = canonical_form(pattern)
+        gens = [s.gen for s in canon.slices]
+        feeds, consumers, outputs = _ports(canon)
+        closed = None not in outputs and _connected(feeds, consumers)
+        forms.append((canon, frozenset(_kinds(canon, feeds)), closed))
+        for t, g in enumerate(gens if closed else ()):
             steps, checks, order, taken = [], [], [t], set()
             for a in order:  # grows as the walk reaches slices
                 for down, links in ((False, feeds[a]), (True, consumers[a])):
@@ -279,15 +274,15 @@ def _pattern_slots(*patterns: Diagram) -> dict | None:
                             order.append(u)
                             steps.append((a, down, port, u, uport, gens[u]))
             slots.setdefault(g, []).append((n, t, steps, checks, outputs))
-    return slots
+    return tuple(forms), slots
 
 
 def _match_walk(d: Diagram, slots: dict | None):
     """A walk along the wires of ``d`` that maps, for a slice of ``d``, the
     ``(pattern index, occurrence set)`` pair of each match that holds it,
-    of the patterns laid out in ``slots`` (:func:`_pattern_slots`), to the
-    match's window: its occurrences in the order of the pattern's slices.
-    Occurrences are indices into ``d.slices``.  ``None`` where it does not
+    of the closed patterns laid out in ``slots`` (:func:`_pattern_slots`),
+    to the match's window: its occurrences, indices into ``d.slices``, in
+    the order of the pattern's canonical slices.  ``None`` where it does not
     apply: ``slots`` is None, or a slice of ``d`` has coarity 0, with which
     exchange is not symmetric.  Otherwise each match is a convex,
     wire-connected set of slices of ``d``, so a walk along wires finds it.
@@ -438,42 +433,40 @@ def find_matches(d: Diagram, *patterns: Diagram) -> list[Match]:
     has ``d``'s kinds; and a window equal to a pattern has that pattern's
     kinds.
 
-    When ``d`` has more than one wire-connected component, the patterns
-    left are found by a walk along the wires of ``d``'s canonical form from
-    every slice (:func:`_match_walk`), with no closure, so bystanders in
-    other components cost no orders; a match's context is then built by the
-    window-constrained :func:`_lex_min`.  The walk decides where it applies:
-    every pattern closed (:func:`_pattern_slots`) and no slice of ``d`` of
-    coarity 0.  The exchange closure is the fallback: any other subject is
-    matched on it, one pass serving every pattern, and a context is read
-    off the first member, in closure order, that holds the match.
+    When ``d`` has more than one wire-connected component, every pattern
+    left is closed (read off the one layout of ``patterns``,
+    :func:`_pattern_slots`) and no slice of ``d`` has coarity 0, a walk
+    along the wires of ``d``'s canonical form from every slice finds the
+    matches (:func:`_match_walk`; a skipped pattern finds none) with no
+    closure, so bystanders in other components cost no orders; a match's
+    context is then built by the window-constrained :func:`_lex_min`.  The
+    exchange closure is the fallback: any other subject is matched on it,
+    one pass serving every pattern left, and a context is read off the
+    first member, in closure order, that holds the match.
     """
     if any(len(pattern) < 1 for pattern in patterns):
         raise RewriteError("pattern must contain at least one generator")
     feeds, consumers, _ = _ports(d)
     kinds = _kinds(d, feeds)
-    pats = []
-    for n, pattern in enumerate(patterns):
-        canon, needs = _pattern_form(pattern)
-        if needs <= kinds:
-            pats.append((n, canon))
-    if not pats:
+    forms, slots = _pattern_slots(*patterns)
+    live = [n for n, (_, needs, _) in enumerate(forms) if needs <= kinds]
+    if not live:
         return []
     subject = canonical_form(d)
     found: dict[tuple[int, frozenset[int]], Match] = {}
     walk = None
-    if not _connected(feeds, consumers):
-        walk = _match_walk(subject, _pattern_slots(*(pat for _, pat in pats)))
+    if not _connected(feeds, consumers) and all(forms[n][2] for n in live):
+        walk = _match_walk(subject, slots)
     if walk is not None:
         for anchor in range(len(subject)):
-            for (i, occ), window in walk(anchor).items():
-                n, pat = pats[i]
+            for (n, occ), window in walk(anchor).items():
                 if (n, occ) not in found:
                     found[n, occ] = Match(occ, n, partial(
-                        _window_context, subject, window, pat))
+                        _window_context, subject, window, forms[n][0]))
     else:
         for n, pat, slices, ids, i in _windows(
-                exchange_closure_with_ids(subject), subject.input_width, pats):
+                exchange_closure_with_ids(subject), subject.input_width,
+                [(n, forms[n][0]) for n in live]):
             occ = frozenset(ids)
             if (n, occ) not in found:
                 found[n, occ] = Match(occ, n, partial(
@@ -617,11 +610,12 @@ def parse_polygraph(text: str, name: str = "polygraph") -> Polygraph:
     """Parse the line-oriented polygraph format.
 
     ``prop`` (optional), ``gen <name> : <arity> -> <coarity>``,
-    ``rule <name> : <expr> => <expr>``, ``#`` comments.
+    ``rule <name> [<family>] : <expr> => <expr>`` (the family optional,
+    ``algebraic`` when absent), ``#`` comments.
     """
     is_prop = False
     gens: list[GeneratorSym] = []
-    rule_lines: list[tuple[str, str, str]] = []
+    rule_lines: list[tuple[str, str | None, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -633,16 +627,17 @@ def parse_polygraph(text: str, name: str = "polygraph") -> Polygraph:
         if m:
             gens.append(GeneratorSym(m.group(1), int(m.group(2)), int(m.group(3))))
             continue
-        m = re.fullmatch(r"rule\s+(\w+)\s*:\s*(.*?)\s*=>\s*(.*)", line)
+        m = re.fullmatch(r"rule\s+(\w+)\s*(?:\[(\w+)\]\s*)?:\s*(.*?)\s*=>\s*(.*)", line)
         if m:
-            rule_lines.append((m.group(1), m.group(2), m.group(3)))
+            rule_lines.append(m.groups())
             continue
         raise RewriteError(f"cannot parse polygraph line {lineno}: {raw!r}")
     sig = Signature(name, tuple(g for g in gens if not is_prop or g.name != "tau"),
                     is_prop=is_prop)
     rules = tuple(
-        Rule(rname, parse_diagram(lhs, sig), parse_diagram(rhs, sig))
-        for rname, lhs, rhs in rule_lines
+        Rule(rname, parse_diagram(lhs, sig), parse_diagram(rhs, sig),
+             family or "algebraic")
+        for rname, family, lhs, rhs in rule_lines
     )
     return Polygraph(sig, rules)
 
@@ -654,7 +649,9 @@ def print_polygraph(p: Polygraph) -> str:
     for g in p.signature.generators:
         lines.append(f"gen {g.name} : {g.arity} -> {g.coarity}")
     for r in p.rules:
-        lines.append(f"rule {r.name} : {print_diagram(r.lhs)} => {print_diagram(r.rhs)}")
+        family = "" if r.family == "algebraic" else f" [{r.family}]"
+        lines.append(f"rule {r.name}{family} : "
+                     f"{print_diagram(r.lhs)} => {print_diagram(r.rhs)}")
     return "\n".join(lines) + "\n"
 
 

@@ -565,6 +565,30 @@ class TestExport:
             assert diagram_equal(r_back.lhs, r_orig.lhs)
             assert diagram_equal(r_back.rhs, r_orig.rhs)
 
+    def test_exported_families_read_back(self, capsys, tmp_path):
+        # The export keeps each rule's family, so the file reads back as
+        # the preset's polygraph and ``info`` sorts its branchings alike.
+        poly = tmp_path / "sym_prime.poly"
+        code, _, _ = run(
+            capsys, "export", "--preset", "sym_prime", "--out", str(poly))
+        assert code == 0
+        keys = ("confluent_modulo_structure", "family_counts", "proper_count")
+        reports = []
+        for source in (("--preset", "sym_prime"), ("--polygraph", str(poly))):
+            code, out, _ = run(capsys, "info", *source, "--format", "json")
+            assert code == 1
+            report = json.loads(out)
+            reports.append([report[k] for k in keys])
+        assert reports[0] == reports[1]
+        assert reports[0][0] is True and reports[0][2] == 23
+
+    def test_unknown_family_exits_2(self, capsys, tmp_path):
+        poly = tmp_path / "family.poly"
+        poly.write_text("gen a : 1 -> 1\nrule r [bogus] : a => a\n")
+        code, out, err = run(capsys, "critical", "--polygraph", str(poly))
+        assert (code, out) == (2, "")
+        assert err == "error: unknown rule family 'bogus'\n"
+
     def test_unicode_digit_in_file_exits_2(self, capsys, tmp_path):
         poly = tmp_path / "digit.poly"
         poly.write_text("gen mu : 2 -> 1\nrule a : id \u00b2 => id 1\n")

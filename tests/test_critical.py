@@ -864,7 +864,7 @@ def test_stuck_splices_match_the_padded_oracle(monkeypatch):
 def walk_pairs(d, patterns):
     """The ``(pattern, occurrence set)`` pairs ``_match_walk`` finds from
     every slice of ``d``, renumbered into ``d``'s canonical form."""
-    walk = _match_walk(d, _pattern_slots(*patterns))
+    walk = _match_walk(d, _pattern_slots(*patterns)[1])
     canon = {x: k for k, x in enumerate(canonical_form_with_ids(d)[1])}
     return {(n, frozenset(canon[x] for x in occ))
             for anchor in range(len(d)) for n, occ in walk(anchor)}
@@ -875,10 +875,11 @@ def walk_contexts(d, patterns):
     ``d``'s canonical form, framed as ``critical_pairs_on`` frames it: by
     the window the walk from the match's least slice finds."""
     u = canonical_form(d)
-    pats = [canonical_form(pattern) for pattern in patterns]
-    walk = _match_walk(u, _pattern_slots(*pats))
+    forms, slots = _pattern_slots(*patterns)
+    walk = _match_walk(u, slots)
     keys = {key for anchor in range(len(u)) for key in walk(anchor)}
-    return sorted(((n, occ, _window_context(u, walk(min(occ))[n, occ], pats[n]))
+    return sorted(((n, occ, _window_context(u, walk(min(occ))[n, occ],
+                                            forms[n][0]))
                    for n, occ in keys), key=lambda m: (m[0], sorted(m[1])))
 
 
@@ -962,7 +963,7 @@ class TestMatchWalk:
                                     GeneratorSym("delta", 1, 2),
                                     GeneratorSym("mu", 2, 1)))
         patterns = [d for d in all_diagrams(sig, 3, 4)
-                    if d.slices and _pattern_slots(d) is not None]
+                    if d.slices and _pattern_slots(d)[0][0][2]]
         subjects = all_diagrams(sig, 4, 3)
         assert (len(patterns), len(subjects)) == (204, 606)
         for d in subjects:
@@ -972,10 +973,13 @@ class TestMatchWalk:
     def test_undecided_with_coarity0_or_open_patterns(self):
         p = counit_polygraph()
         d = parse_diagram("delta ; (eps * id 1)", p.signature)
-        assert _match_walk(d, _pattern_slots(*(r.lhs for r in p.rules))) is None
+        slots = _pattern_slots(*(r.lhs for r in p.rules))[1]
+        assert _match_walk(d, slots) is None
         mon = get_preset("mon").polygraph
-        assert _pattern_slots(parse_diagram("mu * mu", mon.signature)) is None
-        assert _pattern_slots(parse_diagram("mu * id 1", mon.signature)) is None
+        closed = lambda text: _pattern_slots(
+            parse_diagram(text, mon.signature))[0][0][2]
+        assert not closed("mu * mu")
+        assert not closed("mu * id 1")
 
 
 S22 = GeneratorSym("s", 2, 2)
@@ -1000,7 +1004,7 @@ def test_walk_rejects_hand_built_images(subject, steps, outputs):
     # outputs)``, whose first step holds and whose image only that test
     # rejects.  The single slice ``s`` beside it shows the walk running.
     d = parse_diagram(subject, SF)
-    single = _pattern_slots(parse_diagram("s", SF))[S22]
+    single = _pattern_slots(parse_diagram("s", SF))[1][S22]
     slots = {S22: single + [(1, 0, steps, [], outputs)]}
     assert _match_walk(d, slots)(0) == {(0, frozenset({0})): (0,)}
 

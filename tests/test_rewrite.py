@@ -43,7 +43,7 @@ from polyrew.rewrite import (
 from polyrew.diagram import _ports
 from polyrew.rewrite import _connected, _kinds
 import polyrew.rewrite
-from polyrew.coherence import get_preset
+from polyrew.coherence import PRESET_NAMES, get_preset
 from polyrew.critical import critical_pairs_on
 from conftest import MU, cup_polygraph, identity_context
 from exchange_oracle import (
@@ -261,6 +261,23 @@ class TestOneClosurePerSubject:
         lhss = [r.lhs for r in mon_polygraph.rules]
         assert trace.steps[0].context == unfiltered_matches(d, *lhss)[0][2]
 
+    def test_open_pattern_decides_the_closure(self, mon_polygraph, closures):
+        # ``(mu * id 1) ; mu`` is closed and ``eta * id 1`` is open: its
+        # wire passes through.  On two components the closure runs exactly
+        # when the open pattern's kinds are present.
+        sig = mon_polygraph.signature
+        pats = [parse_diagram(text, sig)
+                for text in ("(mu * id 1) ; mu", "eta * id 1")]
+        assert closed(pats[0]) and not closed(pats[1])
+        for text, closure in (("mu * ((mu * id 1) ; mu)", False),
+                              ("eta * ((mu * id 1) ; mu)", True)):
+            d = parse_diagram(text, sig)
+            del closures[:]
+            got = [(m.pattern, m.occurrences, m.context)
+                   for m in find_matches(d, *pats)]
+            assert bool(closures) == closure, text
+            assert got and got == unfiltered_matches(d, *pats), text
+
 
 class TestWireKinds:
     """``find_matches`` skips a pattern whose wire kinds the subject lacks;
@@ -456,6 +473,29 @@ class TestComponentSplit:
         got = [(m.pattern, m.occurrences, m.context)
                for m in find_matches(d, pat)]
         assert got and got == unfiltered_matches(d, pat)
+
+
+class TestPatternLayout:
+    """``find_matches`` lays out each tuple of patterns once, whichever of
+    them a subject leaves live."""
+
+    def test_one_layout_per_pattern_set(self, mon_polygraph):
+        # Two components each, and each subject's kinds leave a different
+        # subset of the rule sources live: one layout serves them all.
+        sig = mon_polygraph.signature
+        subjects = [parse_diagram(text, sig) for text in (
+            "((mu * id 1) ; mu) * mu", "((eta * id 1) ; mu) * mu",
+            "((id 1 * eta) ; mu) * mu",
+            "((mu * id 1) ; mu) * ((eta * id 1) ; mu)")]
+        kinds = TestWireKinds.kinds
+        live = {frozenset(r.name for r in mon_polygraph.rules
+                          if kinds(r.lhs) <= kinds(d)) for d in subjects}
+        assert len(live) == len(subjects)
+        assert all(components(d) == 2 for d in subjects)
+        polyrew.rewrite._pattern_slots.cache_clear()
+        for d in subjects:
+            normalize(d, mon_polygraph)
+        assert polyrew.rewrite._pattern_slots.cache_info().misses == 1
 
 
 class TestSteps:
@@ -743,6 +783,19 @@ rule rho : (id 1 * eta) ; mu => id 1
         for r1, r2 in zip(p.rules, again.rules):
             assert diagram_equal(r1.lhs, r2.lhs)
             assert diagram_equal(r1.rhs, r2.rhs)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_round_trip(self, name):
+        # Rule families are written as ``[family]`` before the colon.
+        p = get_preset(name).polygraph
+        assert parse_polygraph(print_polygraph(p), name=p.signature.name) == p
+
+    def test_family_annotation(self):
+        # Before the colon, so a reader that splits at it reads the sides.
+        text = "gen a : 1 -> 1\nrule r [naturality] : a => a\n"
+        p = parse_polygraph(text)
+        assert p.rules[0].family == "naturality"
+        assert print_polygraph(p) == text
 
     def test_prop_line(self):
         p = parse_polygraph("prop\ngen mu : 2 -> 1\n")
